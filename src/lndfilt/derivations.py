@@ -145,11 +145,20 @@ class Derivation:
         return None
 
     def default_bound(self, p: Polynomial) -> int:
+        """A priori bound on deg_D(p) from the generators' nilpotency orders.
+
+        By Leibniz, D^k of a monomial prod x_i^e_i is a sum of products of
+        D^j_i(x_i) with sum j_i = k, and one factor vanishes once
+        k > sum e_i * ord(x_i); in a commutative ring this holds for every
+        monomial of any representative of p, so deg_D(p) is at most the
+        largest such sum over p's terms.
+        """
         orders = self.variable_orders()
         if orders is None:
             raise BoundExceeded("no nilpotency certificate for default bound")
-        mx = max(orders.values(), default=0)
-        return 4 * (mx + 1) * max(p.num_terms(), 1)
+        ords = [orders[nm] for nm in self.ring.ctx.names]
+        return max((sum(e * o for e, o in zip(m, ords)) for m in p.terms),
+                   default=0)
 
     def deg(self, p: Polynomial, bound: int | None = None):
         """deg_D(p): number of applications before extinction; NEG_INF at 0.

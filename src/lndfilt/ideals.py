@@ -5,6 +5,15 @@ final autoreduction.  A global step budget bounds the number of single-term
 reductions; hitting it raises BudgetExhausted, so a too-small budget can only
 ever produce an explicit failure, never a wrong basis.
 
+Reduction is heap-ordered (Monagan and Pearce, "Sparse polynomial division
+using a heap", JSC 46, 2011): `nf_against` computes a monomial's order key
+once, when the monomial enters the work set, keeps the live terms in a heap
+of negated keys with lazy deletion of cancelled terms, and pops the largest
+term at each step.  Buchberger keeps each basis element's leading monomial
+in a list parallel to the basis, filled once when the element joins, and
+each pair carries the key of its lcm; pair selection and the redundancy
+test of the autoreduction read those instead of rescanning the terms.
+
 Monomial orders: lex, graded lex, and weight-refined (weight first, lex on a
 declared variable permutation as tie-break; zero weights are allowed).  An
 order is described by data, so cached bases can be keyed by it.
@@ -14,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Optional, Sequence
 
 from .linalg import smith_normal_form
@@ -57,6 +67,10 @@ class MonomialOrder:
         self.kind = kind
         self.perm = tuple(perm)
         self.weights = None if weights is None else tuple(weights)
+        # the tie-break reads every variable, so distinct monomials get
+        # distinct keys and nf_against's heap never compares monomials
+        if sorted(self.perm) != list(range(len(self.perm))):
+            raise ValueError("tie-break %r is not a permutation" % (self.perm,))
         if kind == "weight":
             if self.weights is None:
                 raise ValueError("weight order needs a weight vector")
@@ -162,16 +176,24 @@ class Ideal:
 
 
 def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None) -> Polynomial:
-    """Full normal form of p against a list of polynomials."""
+    """Full normal form of p against a list of polynomials.
+
+    Terms are taken largest first from a heap of negated order keys; each
+    term reduces by the first basis element whose leading monomial divides
+    it, and `rem` receives the irreducible ones in descending order.
+    """
     budget = _as_budget(budget)
     lead = [(leading_monomial(g, order), g) for g in basis]
+    key = order.key
     work = dict(p.terms)
+    heap = [(_neg(key(m)), m) for m in work]
+    heapify(heap)
     rem: dict = {}
-    while work:
-        m = max(work, key=order.key)
-        c = work.pop(m)
+    while heap:
+        m = heappop(heap)[1]
+        c = work.pop(m, 0)
         if c == 0:
-            continue
+            continue  # cancelled after it was pushed
         hit = None
         for lm, g in lead:
             q = mono_div(m, lm)
@@ -179,7 +201,7 @@ def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None) -> Polyn
                 hit = (q, lm, g)
                 break
         if hit is None:
-            rem[m] = rem.get(m, 0) + c
+            rem[m] = c
             continue
         budget.step()
         q, lm, g = hit
@@ -188,62 +210,70 @@ def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None) -> Polyn
             if gm == lm:
                 continue
             t = mono_mul(gm, q)
-            nv = work.get(t, 0) - fac * gc
-            if nv:
-                work[t] = nv
+            old = work.get(t)
+            if old is None:
+                work[t] = -fac * gc
+                heappush(heap, (_neg(key(t)), t))
             else:
-                work.pop(t, None)
+                nv = old - fac * gc
+                if nv:
+                    work[t] = nv
+                else:
+                    del work[t]
     return Polynomial(p.ctx, rem)
 
 
-def _spoly(f: Polynomial, g: Polynomial, order: MonomialOrder) -> Polynomial:
-    mf, cf = leading_term(f, order)
-    mg, cg = leading_term(g, order)
+def _neg(k):
+    return tuple([-e for e in k])
+
+
+def _spoly(f: Polynomial, mf, g: Polynomial, mg) -> Polynomial:
     l = mono_lcm(mf, mg)
-    tf = Polynomial(f.ctx, {mono_div(l, mf): 1 / cf})
-    tg = Polynomial(g.ctx, {mono_div(l, mg): 1 / cg})
+    tf = Polynomial(f.ctx, {mono_div(l, mf): 1 / f.terms[mf]})
+    tg = Polynomial(g.ctx, {mono_div(l, mg): 1 / g.terms[mg]})
     return tf * f - tg * g
 
 
 def buchberger(gens, order: MonomialOrder, budget=None):
     """Reduced Groebner basis (monic, autoreduced, deterministically sorted)."""
     budget = _as_budget(budget)
-    basis = []
-    for g in gens:
-        if not g.is_zero():
-            basis.append(monic(g, order))
+    basis = [monic(g, order) for g in gens if not g.is_zero()]
     if not basis:
         return []
-    pairs = [(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+    lms = [leading_monomial(g, order) for g in basis]  # parallel to basis
+
+    def pair(i, j):
+        return order.key(mono_lcm(lms[i], lms[j])), i, j
+
+    pairs = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
     while pairs:
-        # normal strategy: smallest lcm first
-        best = min(
-            range(len(pairs)),
-            key=lambda k: order.key(mono_lcm(
-                leading_monomial(basis[pairs[k][0]], order),
-                leading_monomial(basis[pairs[k][1]], order))))
-        i, j = pairs.pop(best)
-        fi, fj = basis[i], basis[j]
-        mi = leading_monomial(fi, order)
-        mj = leading_monomial(fj, order)
+        # normal strategy: smallest lcm first, the earliest pair among equals
+        best = min(range(len(pairs)), key=lambda k: pairs[k][0])
+        _, i, j = pairs.pop(best)
+        mi, mj = lms[i], lms[j]
         if mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue  # coprime leading terms, S-poly reduces to zero
-        r = nf_against(_spoly(fi, fj, order), basis, order, budget)
+        r = nf_against(_spoly(basis[i], mi, basis[j], mj), basis, order, budget)
         if not r.is_zero():
-            basis.append(monic(r, order))
-            pairs.extend((k, len(basis) - 1) for k in range(len(basis) - 1))
+            r = monic(r, order)
+            basis.append(r)
+            lms.append(leading_monomial(r, order))
+            pairs.extend(pair(k, len(basis) - 1) for k in range(len(basis) - 1))
     return _autoreduce(basis, order, budget)
 
 
 def _autoreduce(basis, order, budget):
-    basis = list(basis)
-    # drop redundant leading terms first
-    basis.sort(key=lambda g: order.key(leading_monomial(g, order)))
+    # drop redundant leading terms first, smallest leading monomial first
+    leads = sorted(((leading_monomial(g, order), g) for g in basis),
+                   key=lambda mg: order.key(mg[0]))
     kept = []
-    for g in basis:
-        lm = leading_monomial(g, order)
-        if not any(mono_div(lm, leading_monomial(h, order)) is not None for h in kept):
+    kept_lms = []
+    for lm, g in leads:
+        if not any(mono_div(lm, h) is not None for h in kept_lms):
             kept.append(g)
+            kept_lms.append(lm)
+    # No leading monomial left divides another, so reduction keeps each
+    # element's leading term and `kept` stays sorted by leading monomial.
     changed = True
     while changed:
         changed = False
@@ -258,7 +288,6 @@ def _autoreduce(basis, order, budget):
             if r != kept[i]:
                 kept[i] = r
                 changed = True
-    kept.sort(key=lambda g: order.key(leading_monomial(g, order)))
     return kept
 
 

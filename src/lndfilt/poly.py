@@ -8,6 +8,11 @@ used for the degree of the zero polynomial.
 
 Polynomials are value objects: no method mutates `self` after construction.
 That makes them safe to share between cached Groebner bases and callers.
+
+Multiplication takes an integer path when every coefficient of both operands
+has denominator 1: it accumulates products of the `int` numerators and wraps
+each nonzero result in `Fraction` once, so the stored terms are `Fraction`
+either way and the product is the same as on the rational path.
 """
 
 from __future__ import annotations
@@ -126,6 +131,20 @@ def mono_wdeg(a: Mono, w: Sequence[int]) -> int:
     return sum(e * wi for e, wi in zip(a, w))
 
 
+def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object]) -> dict:
+    """Product of two term maps, with whatever coefficient type they hold."""
+    out: dict = {}
+    for ma, ca in a.items():
+        for mb, cb in b.items():
+            m = mono_mul(ma, mb)
+            nc = out.get(m, 0) + ca * cb
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
 def _print_key(m: Mono):
     return (mono_deg(m), m)
 
@@ -206,16 +225,13 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        out: dict = {}
-        for ma, ca in a.items():
-            for mb, cb in b.items():
-                m = mono_mul(ma, mb)
-                nc = out.get(m, 0) + ca * cb
-                if nc:
-                    out[m] = nc
-                else:
-                    out.pop(m, None)
-        return Polynomial(self.ctx, out)
+        if (all(c.denominator == 1 for c in a.values())
+                and all(c.denominator == 1 for c in b.values())):
+            a = {m: c.numerator for m, c in a.items()}
+            b = {m: c.numerator for m, c in b.items()}
+            out = _mul_terms(a, b)
+            return Polynomial(self.ctx, {m: Fraction(c) for m, c in out.items()})
+        return Polynomial(self.ctx, _mul_terms(a, b))
 
     __rmul__ = __mul__
 

@@ -78,6 +78,19 @@ def test_degree_values():
     assert d.deg(_p("x^2*z")) == d.deg(_p("y^2")) == 2
 
 
+def test_default_bound_is_the_leibniz_bound():
+    d = _surface_derivation()
+    # orders x:0, y:1, z:2, so the bound is max over terms of e_y + 2*e_z
+    assert d.default_bound(_p("z^7")) == 14
+    assert d.default_bound(_p("y^13 + x^9")) == 13
+    assert d.default_bound(XYZ.one()) == 0
+    # both exceeded the old 4*(max order + 1)*#terms = 12
+    assert d.deg(_p("z^7")) == 14
+    assert d.deg(_p("y^13")) == 13
+    with pytest.raises(BoundExceeded):
+        d.deg(_p("z^7"), 13)
+
+
 def test_degree_additivity_on_domain():
     d = _surface_derivation()
     rng = random.Random(502)

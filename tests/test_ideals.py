@@ -45,6 +45,9 @@ def test_order_keys():
         MonomialOrder("weight", range(3))
     with pytest.raises(ValueError):
         MonomialOrder.weight([1, -1, 0])
+    # a tie-break that skips a variable would give two monomials one key
+    with pytest.raises(ValueError):
+        MonomialOrder.lex(3, perm=[0, 0, 1])
 
 
 def test_leading_data_and_monic():

@@ -1,0 +1,161 @@
+"""The reduction and product kernels against slow reference versions.
+
+`rescan_nf_against` is the earlier normal form, which rescans every live
+term's order key at each step.  The heap kernel must agree with it on the
+remainder, on the order of the remainder's terms and on the number of
+budget steps.  `rational_product` is the product loop run on `Fraction`
+coefficients throughout; the integer path of `Polynomial.__mul__` must give
+the same terms in the same order.
+"""
+
+from __future__ import annotations
+
+import random
+from fractions import Fraction
+
+import pytest
+
+from lndfilt.ideals import (Budget, BudgetExhausted, MonomialOrder, buchberger,
+                            leading_monomial, nf_against)
+from lndfilt.parser import parse_polynomial
+from lndfilt.poly import Context, Polynomial, mono_div, mono_mul, random_polynomial
+
+CTX = Context(("x", "y", "z", "w"))
+
+
+def rescan_nf_against(p, basis, order, budget):
+    """Reference normal form: next term by max over all live keys."""
+    lead = [(leading_monomial(g, order), g) for g in basis]
+    work = dict(p.terms)
+    rem: dict = {}
+    while work:
+        m = max(work, key=order.key)
+        c = work.pop(m)
+        if c == 0:
+            continue
+        hit = None
+        for lm, g in lead:
+            q = mono_div(m, lm)
+            if q is not None:
+                hit = (q, lm, g)
+                break
+        if hit is None:
+            rem[m] = rem.get(m, 0) + c
+            continue
+        budget.step()
+        q, lm, g = hit
+        fac = c / g.terms[lm]
+        for gm, gc in g.terms.items():
+            if gm == lm:
+                continue
+            t = mono_mul(gm, q)
+            nv = work.get(t, 0) - fac * gc
+            if nv:
+                work[t] = nv
+            else:
+                work.pop(t, None)
+    return Polynomial(p.ctx, rem)
+
+
+def rational_product(a, b):
+    """Reference product: the term loop on Fraction coefficients."""
+    x, y = a.terms, b.terms
+    if len(x) > len(y):
+        x, y = y, x
+    out: dict = {}
+    for ma, ca in x.items():
+        for mb, cb in y.items():
+            m = mono_mul(ma, mb)
+            nc = out.get(m, 0) + Fraction(ca) * Fraction(cb)
+            if nc:
+                out[m] = nc
+            else:
+                out.pop(m, None)
+    return out
+
+
+def random_order(rng):
+    perm = list(range(len(CTX)))
+    rng.shuffle(perm)
+    kind = rng.choice(["lex", "grlex", "weight"])
+    if kind == "lex":
+        return MonomialOrder.lex(len(CTX), perm)
+    if kind == "grlex":
+        return MonomialOrder.grlex(len(CTX), perm)
+    # zero weights leave only the tie-break to order those variables
+    return MonomialOrder.weight([rng.choice([0, 0, 1, 2, 3]) for _ in range(len(CTX))], perm)
+
+
+def random_scaled(rng, **kw):
+    """Random polynomial, sometimes scaled by a non-integral rational."""
+    p = random_polynomial(CTX, rng, **kw)
+    if rng.random() < 0.5:
+        p = p * Fraction(rng.choice([1, 2, 3, -5]), rng.choice([2, 3, 7]))
+    return p
+
+
+def test_heap_kernel_matches_rescan_oracle():
+    rng = random.Random(2011)
+    kinds = set()
+    steps_seen = 0
+    for _ in range(300):
+        order = random_order(rng)
+        kinds.add(order.kind)
+        basis = [random_scaled(rng, max_degree=3, max_terms=4, allow_zero=False)
+                 for _ in range(rng.randint(1, 3))]
+        basis = [g for g in basis if not g.is_zero()]  # drawn terms may cancel
+        p = random_scaled(rng, max_degree=6, max_terms=10)
+        big = 10 ** 6
+        b_heap, b_ref = Budget(big), Budget(big)
+        got = nf_against(p, basis, order, b_heap)
+        want = rescan_nf_against(p, basis, order, b_ref)
+        assert list(got.terms.items()) == list(want.terms.items())
+        steps = big - b_ref.left
+        assert big - b_heap.left == steps
+        steps_seen += steps
+        if steps:
+            # one step short of what the reduction needs must fail
+            with pytest.raises(BudgetExhausted):
+                nf_against(p, basis, order, Budget(steps - 1))
+            with pytest.raises(BudgetExhausted):
+                rescan_nf_against(p, basis, order, Budget(steps - 1))
+    assert kinds == {"lex", "grlex", "weight"}
+    assert steps_seen > 1000
+
+
+@pytest.mark.parametrize("gens, steps, size", [
+    (["x^2*y - s^2", "s - y^2 + x*z"], 10, 4),
+    (["x*y - z^2", "y*z - x^2", "x*z - y^2 + s"], 18, 7),
+    (["x^3 - 2*x*y", "x^2*y - 2*y^2 + x", "z*s - 1"], 7, 4),
+])
+def test_buchberger_reduction_steps_are_pinned(gens, steps, size):
+    """The reduced basis is unique whatever the pair order; the number of
+    reduction steps is not, so it pins the smallest-lcm-first selection."""
+    ctx = Context(("x", "y", "z", "s"))
+    budget = Budget(10 ** 6)
+    gb = buchberger([parse_polynomial(g, ctx) for g in gens],
+                    MonomialOrder.grlex(4), budget)
+    assert (10 ** 6 - budget.left, len(gb)) == (steps, size)
+
+
+def test_integer_product_matches_rational_product():
+    rng = random.Random(2024)
+    paths = set()
+    for _ in range(400):
+        shape = rng.choice(["integral", "rational", "mixed"])
+        a = random_polynomial(CTX, rng, max_degree=4, max_terms=6)
+        b = random_polynomial(CTX, rng, max_degree=4, max_terms=6)
+        if shape != "integral":
+            a = a * Fraction(1, rng.choice([2, 3, 5]))
+        if shape == "rational":
+            b = b * Fraction(rng.choice([-1, 3, 7]), rng.choice([2, 9]))
+        paths.add(shape)
+        for f, g in ((a, b), (b, a)):
+            got = f * g
+            assert list(got.terms.items()) == list(rational_product(f, g).items())
+            assert all(type(c) is Fraction for c in got.terms.values())
+    assert paths == {"integral", "rational", "mixed"}
+    # a product whose terms cancel completely
+    x, y = CTX.var("x"), CTX.var("y")
+    assert ((x + y) * (x - y) - x * x + y * y).is_zero()
+    assert (x * 2 + y) * CTX.zero() == CTX.zero()
