@@ -10,15 +10,13 @@ hypersurfaces.
 """
 
 from .derivations import (BoundExceeded, Derivation, NilpotencyCertificate,
-                          NotWellDefined, RingPresentation, conjugate,
-                          make_derivation)
+                          NotWellDefined, RingPresentation, conjugate)
 from .families import (FamilyInstance, LndCandidate, LndSearchResult,
                        bounded_lnd_search, make_danielewski,
                        make_koras_russell2, make_new_family, ml_evidence,
                        singular_at_origin, verify_layer_formulas)
-from .filtration import (DegreeFunction, FiltrationSpec, GradedElement,
-                         GradedPresentation, LayerGenerator,
-                         PreconditionError, PropernessResult)
+from .filtration import (FiltrationSpec, GradedElement, GradedPresentation,
+                         LayerGenerator, PreconditionError, PropernessResult)
 from .ideals import (BinomialPrimality, Budget, BudgetExhausted, Ideal,
                      MonomialOrder, binomial_prime, eliminate, ideal_equal,
                      initial_ideal, member, normal_form, saturate)
@@ -26,9 +24,9 @@ from .linalg import (rational_kth_root, rational_roots, smith_normal_form,
                      smith_with_transforms, solve_combination)
 from .morphisms import (AutomorphismData, CongruenceError, IsoDecision,
                         MorphismError, RingMorphism, build_auto_danielewski,
-                        build_auto_newfamily, check_morphism,
-                        composition_data, identity_morphism, iso_decide,
-                        normalize_subleading, verify_degree_preservation)
+                        build_auto_newfamily, composition_data,
+                        identity_morphism, iso_decide, normalize_subleading,
+                        verify_degree_preservation)
 from .parser import ParseError, parse_polynomial
 from .poly import NEG_INF, Context, Polynomial, random_polynomial
 from .selftest import run_selftest
@@ -37,20 +35,20 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AutomorphismData", "BinomialPrimality", "BoundExceeded", "Budget",
-    "BudgetExhausted", "CongruenceError", "Context", "DegreeFunction",
-    "Derivation", "FamilyInstance", "FiltrationSpec", "GradedElement",
+    "BudgetExhausted", "CongruenceError", "Context", "Derivation",
+    "FamilyInstance", "FiltrationSpec", "GradedElement",
     "GradedPresentation", "Ideal", "IsoDecision", "LayerGenerator",
     "LndCandidate", "LndSearchResult", "MonomialOrder", "MorphismError",
     "NEG_INF", "NilpotencyCertificate", "NotWellDefined", "ParseError",
     "Polynomial", "PreconditionError", "PropernessResult", "RingMorphism",
     "RingPresentation", "binomial_prime", "bounded_lnd_search",
-    "build_auto_danielewski", "build_auto_newfamily", "check_morphism",
-    "composition_data", "conjugate", "eliminate", "ideal_equal",
-    "identity_morphism", "initial_ideal", "iso_decide", "make_danielewski",
-    "make_derivation", "make_koras_russell2", "make_new_family", "member",
-    "ml_evidence", "normal_form", "normalize_subleading", "parse_polynomial",
+    "build_auto_danielewski", "build_auto_newfamily", "composition_data",
+    "conjugate", "eliminate", "ideal_equal", "identity_morphism",
+    "initial_ideal", "iso_decide", "make_danielewski",
+    "make_koras_russell2", "make_new_family", "member", "ml_evidence",
+    "normal_form", "normalize_subleading", "parse_polynomial",
     "random_polynomial", "rational_kth_root", "rational_roots",
     "run_selftest", "saturate", "singular_at_origin", "smith_normal_form",
-    "smith_with_transforms", "solve_combination", "verify_degree_preservation",
-    "verify_layer_formulas",
+    "smith_with_transforms", "solve_combination",
+    "verify_degree_preservation", "verify_layer_formulas",
 ]

@@ -190,10 +190,6 @@ class Derivation:
         return "Derivation(%s)" % ims
 
 
-def make_derivation(ring: RingPresentation, images, check: bool = True) -> Derivation:
-    return Derivation(ring, images, check)
-
-
 def conjugate(d: Derivation, alpha) -> Derivation:
     """alpha^-1 o d o alpha for an automorphism alpha with a known inverse."""
     if alpha.inverse is None:

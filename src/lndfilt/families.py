@@ -31,9 +31,10 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .derivations import (Derivation, NilpotencyCertificate, RingPresentation)
-from .filtration import FiltrationSpec, PreconditionError, _bounded_exponents
+from .filtration import (FiltrationSpec, PreconditionError, _bounded_exponents,
+                         _var_index)
 from .ideals import Ideal, exact_quotient
-from .linalg import SparseSpan, nullspace, rational_roots, solve_combination
+from .linalg import Echelon, nullspace, rational_roots, solve_combination
 from .poly import Context, Polynomial
 
 
@@ -305,15 +306,12 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
     for mono in cof_monos:
         columns.append(-(rel * ctx.monomial(mono)))
 
-    row_index: dict = {}
-    for p in columns:
-        for mm in p.terms:
-            row_index.setdefault(mm, len(row_index))
-    rows = [[Fraction(0)] * len(columns) for _ in range(len(row_index))]
+    # one equation per monomial: its coefficient in sum_j u_j * columns[j]
+    rows: dict = {}
     for j, p in enumerate(columns):
         for mm, c in p.terms.items():
-            rows[row_index[mm]][j] = c
-    basis = nullspace(rows, len(columns))
+            rows.setdefault(mm, {})[j] = c
+    basis = nullspace(rows.values(), len(columns))
 
     nimg = len(img_monos)
 
@@ -410,40 +408,30 @@ def _classify_against_canonical(inst: FamilyInstance, D: Derivation,
 
 
 def _quotient_by_linear_solve(inst, target, plinth, degree_bound):
-    ctx = inst.ring.ctx
-    kern_idx = [ctx.index(g.ctx.names[_single_var_index(g)])
-                for g in inst.kernel_gens]
-    cand = []
-    for expo, _ in _bounded_exponents([(i, 1) for i in kern_idx], degree_bound):
-        mono = [0] * len(ctx)
-        for i, e in expo:
-            mono[i] = e
-        cand.append(ctx.monomial(mono))
-    rows_polys = [inst.ring.nf(c * plinth) for c in cand]
-    cols = sorted({m for p in rows_polys for m in p.terms} | set(target.terms))
-    ix = {m: j for j, m in enumerate(cols)}
-    rows = []
-    for p in rows_polys:
-        row = [Fraction(0)] * len(cols)
-        for m, c in p.terms.items():
-            row[ix[m]] = c
-        rows.append(row)
-    trow = [Fraction(0)] * len(cols)
-    for m, c in target.terms.items():
-        trow[ix[m]] = c
-    sol = solve_combination(rows, trow)
+    cand = _kernel_monomials(inst, degree_bound)
+    sol = solve_combination([inst.ring.nf(c * plinth).terms for c in cand],
+                            target.terms)
     if sol is None:
         return None
-    f = ctx.zero()
+    f = inst.ring.ctx.zero()
     for c, mono in zip(sol, cand):
         if c:
             f = f + mono * c
     return f
 
 
-def _single_var_index(p: Polynomial) -> int:
-    (m, _), = p.terms.items()
-    return m.index(1)
+def _kernel_monomials(inst: FamilyInstance, bound: int):
+    """Monomials of total degree <= bound in the kernel generators, which
+    are ring variables in every family."""
+    ctx = inst.ring.ctx
+    kern = [(ctx.index(g.ctx.names[_var_index(g)]), 1) for g in inst.kernel_gens]
+    out = []
+    for expo, _ in _bounded_exponents(kern, bound):
+        mono = [0] * len(ctx)
+        for i, e in expo:
+            mono[i] = e
+        out.append(ctx.monomial(mono))
+    return out
 
 
 def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
@@ -455,27 +443,17 @@ def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
     ring = inst.ring
     ctx = ring.ctx
     monos = [ctx.monomial(m) for m in _monomials_up_to(ctx, degree_cap)]
-    images = []
-    for cand in result.candidates:
-        images.append([ring.nf(cand.derivation.apply(m)) for m in monos])
-
-    col_ix: dict = {}
-    for row in images:
-        for p in row:
-            for mm in p.terms:
-                col_ix.setdefault(mm, len(col_ix))
+    # one equation per candidate and monomial of sum_j u_j * D(monos[j])
     rows = []
-    for nf_images in images:
-        for mm in col_ix:
-            row = [Fraction(0)] * len(monos)
-            for j, p in enumerate(nf_images):
-                c = p.terms.get(mm)
-                if c:
-                    row[j] = c
-            rows.append(row)
+    for cand in result.candidates:
+        eqs: dict = {}
+        for j, m in enumerate(monos):
+            for mm, c in ring.nf(cand.derivation.apply(m)).terms.items():
+                eqs.setdefault(mm, {})[j] = c
+        rows.extend(eqs.values())
     kernel_vecs = nullspace(rows, len(monos))
 
-    computed = SparseSpan()
+    computed = Echelon()
     computed_polys = []
     for vec in kernel_vecs:
         p = ctx.zero()
@@ -483,25 +461,18 @@ def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
             if c:
                 p = p + m * c
         q = ring.nf(p)
-        if computed.add(dict(q.terms)):
+        if computed.add(q.terms):
             computed_polys.append(q)
 
-    predicted = SparseSpan()
+    predicted = Echelon()
     predicted_polys = []
-    kern_idx = [ctx.index(g.ctx.names[_single_var_index(g)])
-                for g in inst.kernel_gens]
-    for expo, _ in _bounded_exponents([(i, 1) for i in kern_idx], degree_cap):
-        mono = [0] * len(ctx)
-        for i, e in expo:
-            mono[i] = e
-        q = ring.nf(ctx.monomial(mono))
-        if predicted.add(dict(q.terms)):
+    for mono in _kernel_monomials(inst, degree_cap):
+        q = ring.nf(mono)
+        if predicted.add(q.terms):
             predicted_polys.append(q)
 
-    missing = [str(p) for p in predicted_polys
-               if not computed.contains(dict(p.terms))]
-    extra = [str(p) for p in computed_polys
-             if not predicted.contains(dict(p.terms))]
+    missing = [str(p) for p in predicted_polys if not computed.contains(p.terms)]
+    extra = [str(p) for p in computed_polys if not predicted.contains(p.terms)]
     return {
         "degree_cap": degree_cap,
         "derivations_used": len(result.candidates),
@@ -580,26 +551,19 @@ def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12,
                 continue
             probes.setdefault(w, []).append((mono, b))
 
-    kern_idx = [ring.ctx.index(g.ctx.names[_single_var_index(g)])
-                for g in inst.kernel_gens]
-    coeff_monos = []
-    for expo, _ in _bounded_exponents([(i, 1) for i in kern_idx], coeff_cap):
-        mono = [0] * len(ring.ctx)
-        for i, e in expo:
-            mono[i] = e
-        coeff_monos.append(ring.ctx.monomial(mono))
+    coeff_monos = _kernel_monomials(inst, coeff_cap)
 
-    span = SparseSpan()
+    span = Echelon()
     mismatches = []
     for w in range(max_degree + 1):
         for mono, b in probes.get(w, []):
-            if span.contains(dict(b.terms)):
+            if span.contains(b.terms):
                 mismatches.append((str(mono), w, "already in the layer below"))
         for gen in _stated_layer_generators(inst, w):
             for cm in coeff_monos:
-                span.add(dict(ring.nf(cm * gen).terms))
+                span.add(ring.nf(cm * gen).terms)
         for mono, b in probes.get(w, []):
-            if not span.contains(dict(b.terms)):
+            if not span.contains(b.terms):
                 mismatches.append((str(mono), w, "not in the stated layer"))
 
     if mismatches and _retry and any(kind == "not in the stated layer"

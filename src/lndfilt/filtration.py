@@ -36,35 +36,6 @@ class PreconditionError(ValueError):
     """Input violates a documented precondition."""
 
 
-class DegreeFunction:
-    """Uniform handle for the two degree notions, with a result cache."""
-
-    def __init__(self, kind: str, derivation: Derivation | None = None,
-                 weights=None, bound: int | None = None):
-        if kind == "lnd":
-            if derivation is None:
-                raise ValueError("lnd degree function needs a derivation")
-        elif kind == "weight":
-            if weights is None:
-                raise ValueError("weight degree function needs weights")
-        else:
-            raise ValueError("unknown degree function kind %r" % kind)
-        self.kind = kind
-        self.derivation = derivation
-        self.weights = None if weights is None else tuple(weights)
-        self.bound = bound
-        self._cache: dict = {}
-
-    def value(self, p: Polynomial):
-        k = p.key()
-        if k not in self._cache:
-            if self.kind == "lnd":
-                self._cache[k] = self.derivation.deg(p, self.bound)
-            else:
-                self._cache[k] = p.weighted_degree(self.weights)
-        return self._cache[k]
-
-
 @dataclass
 class LayerGenerator:
     weight: int
@@ -378,15 +349,16 @@ class FiltrationSpec:
 
     # ------------------------------------------------------------ layers
 
-    def candidate_layers(self, r: int):
+    def candidate_layers(self, r: int, budget=None):
         """Deduplicated monomial generators of the layers up to weight r.
 
         Generators are monomials in the positive-weight variables; a
         monomial is dropped when its graded symbol visibly lies in the
         module generated (over the weight-zero variables) by an already
-        accepted generator of the same weight.
+        accepted generator of the same weight.  The budget limits the
+        initial ideal and the normal forms of the monomials.
         """
-        graded_nf = self._graded_nf_for_layers()
+        graded_nf = self._graded_nf_for_layers(budget)
         cands = []
         for expo, w in _bounded_exponents(self._positive_vars(), r):
             mono = self._monomial_from(expo)
@@ -424,12 +396,12 @@ class FiltrationSpec:
             accepted.append(LayerGenerator(w, mono, canon))
         return accepted
 
-    def _graded_nf_for_layers(self):
-        jhat = self.initial_ideal_hat()
+    def _graded_nf_for_layers(self, budget):
+        jhat = self.initial_ideal_hat(budget)
         graded_ring = RingPresentation(self.ext_ctx, jhat, self.j_order)
 
         def graded_nf(mono):
-            q = normal_form(mono, self.extended_ideal, self.j_order)
+            q = normal_form(mono, self.extended_ideal, self.j_order, budget)
             if q.is_zero():
                 return q
             return graded_ring.nf(q.top_form(self.omega))
@@ -601,18 +573,7 @@ class FiltrationSpec:
                 a = a * kg[j] ** e
             for k in range(i + 1):
                 raw.append(((tuple(expo), k), self.ring.nf(a * s ** k)))
-        cols = sorted({m for _, p in raw for m in p.terms} | set(target.terms))
-        col_ix = {m: j for j, m in enumerate(cols)}
-        rows = []
-        for _, p in raw:
-            row = [Fraction(0)] * len(cols)
-            for m, cc in p.terms.items():
-                row[col_ix[m]] = cc
-            rows.append(row)
-        trow = [Fraction(0)] * len(cols)
-        for m, cc in target.terms.items():
-            trow[col_ix[m]] = cc
-        sol = solve_combination(rows, trow)
+        sol = solve_combination([p.terms for _, p in raw], target.terms)
         if sol is None:
             return None
         out: dict = {}

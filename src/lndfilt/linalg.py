@@ -1,9 +1,13 @@
-"""Exact linear algebra helpers: rational elimination, integer Smith form.
+"""Exact linear algebra: one sparse eliminator over Q, integer Smith form.
 
-Everything works on plain lists/dicts of Fractions or ints.  Matrices are
-small (desk scale), so the cubic algorithms are fine; the sparse span is the
-one structure tuned a little because the filtration layer checks push a few
-thousand mostly-empty rows through it.
+Every linear step over Q goes through `Echelon`, a sparse Gauss-Jordan
+basis.  A row is a dict column -> coefficient with mutually sortable
+column keys (ints, or monomial tuples, so a polynomial's `terms` already is
+a row).  The pivot of a new row is its smallest column, and each new pivot
+is cleared from every stored row, so the stored rows are the unique reduced
+row echelon basis of their span.  `nullspace` and `solve_combination` are
+thin entry points on it.  The Smith form works on dense integer lists;
+matrices there are desk scale, so the cubic algorithm is fine.
 """
 
 from __future__ import annotations
@@ -12,148 +16,103 @@ import math
 from fractions import Fraction
 
 
-# ------------------------------------------------------------ dense over Q
+# ------------------------------------------------------------ over Q
 
-def rref(rows):
-    """Row-reduce a list of Fraction lists in place; returns pivot columns."""
-    if not rows:
-        return []
-    ncols = len(rows[0])
-    pivots = []
-    r = 0
-    for c in range(ncols):
-        piv = None
-        for i in range(r, len(rows)):
-            if rows[i][c] != 0:
-                piv = i
-                break
-        if piv is None:
-            continue
-        rows[r], rows[piv] = rows[piv], rows[r]
-        inv = 1 / rows[r][c]
-        rows[r] = [x * inv for x in rows[r]]
-        for i in range(len(rows)):
-            if i != r and rows[i][c] != 0:
-                f = rows[i][c]
-                rows[i] = [a - f * b for a, b in zip(rows[i], rows[r])]
-        pivots.append(c)
-        r += 1
-        if r == len(rows):
-            break
-    del rows[r:]
-    return pivots
+def _axpy(dst: dict, f, src: dict):
+    """dst += f * src, dropping entries that cancel."""
+    for k, v in src.items():
+        nv = dst.get(k, 0) + f * v
+        if nv:
+            dst[k] = nv
+        else:
+            dst.pop(k, None)
+
+
+class Echelon:
+    """Reduced row echelon basis of a growing span of sparse rows over Q.
+
+    `rows` maps each pivot column to its stored row, which has 1 there and
+    0 in every other pivot column.  A row added with a tag is tracked:
+    `combos` maps each pivot to the stored row written as {tag: coefficient}
+    over the tagged rows added so far.
+    """
+
+    def __init__(self):
+        self.rows: dict = {}
+        self.combos: dict = {}
+
+    def reduce(self, row):
+        """(rest, combo): rest is row minus the combination combo of added
+        rows that clears every pivot column; row is in the span iff rest is
+        empty."""
+        rest = {k: Fraction(v) for k, v in row.items() if v}
+        combo: dict = {}
+        # stored rows are zero in each other's pivots, so one pass suffices
+        for piv in [k for k in rest if k in self.rows]:
+            f = rest[piv]
+            _axpy(rest, -f, self.rows[piv])
+            _axpy(combo, f, self.combos[piv])
+        return rest, combo
+
+    def contains(self, row) -> bool:
+        return not self.reduce(row)[0]
+
+    def add(self, row, tag=None) -> bool:
+        """Insert a row; returns True when it enlarged the span."""
+        rest, removed = self.reduce(row)
+        if not rest:
+            return False
+        piv = min(rest)
+        inv = 1 / rest[piv]
+        combo = {} if tag is None else {tag: inv}
+        _axpy(combo, -inv, removed)
+        rest = {k: v * inv for k, v in rest.items()}
+        for p, other in self.rows.items():
+            f = other.get(piv)
+            if f:
+                _axpy(other, -f, rest)
+                _axpy(self.combos[p], -f, combo)
+        self.rows[piv] = rest
+        self.combos[piv] = combo
+        return True
+
+    def dim(self) -> int:
+        return len(self.rows)
 
 
 def nullspace(rows, ncols):
-    """Basis of the right nullspace of the matrix (list of Fraction lists)."""
-    work = [list(map(Fraction, row)) for row in rows]
-    pivots = rref(work)
-    pivot_set = set(pivots)
-    free = [c for c in range(ncols) if c not in pivot_set]
+    """Basis of the right nullspace of sparse rows over columns 0..ncols-1.
+
+    One dense Fraction vector per free column, in increasing order: 1 at
+    the free column, minus the RREF entry of that column at each pivot.
+    """
+    ech = Echelon()
+    for row in rows:
+        ech.add(row)
     basis = []
-    for fc in free:
+    for fc in range(ncols):
+        if fc in ech.rows:
+            continue
         vec = [Fraction(0)] * ncols
         vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -work[r][fc]
+        for pc, row in ech.rows.items():
+            if fc in row:
+                vec[pc] = -row[fc]
         basis.append(vec)
     return basis
 
 
-def span_equal(rows_a, rows_b, ncols):
-    """Do two families of row vectors span the same subspace of Q^ncols?"""
-    a = [list(map(Fraction, r)) for r in rows_a]
-    b = [list(map(Fraction, r)) for r in rows_b]
-    rref(a)
-    rref(b)
-    return a == b
-
-
 def solve_combination(rows, target):
-    """Coefficients expressing target as a combination of rows, or None."""
-    n = len(rows)
-    if n == 0:
-        return [] if not any(target) else None
-    width = len(target)
-    aug = [list(map(Fraction, row)) + [Fraction(int(i == j)) for j in range(n)]
-           for i, row in enumerate(rows)]
-    pivots = []
-    r = 0
-    for col in range(width):
-        sel = next((i for i in range(r, n) if aug[i][col] != 0), None)
-        if sel is None:
-            continue
-        aug[r], aug[sel] = aug[sel], aug[r]
-        pv = aug[r][col]
-        aug[r] = [v / pv for v in aug[r]]
-        for i in range(n):
-            if i != r and aug[i][col] != 0:
-                f = aug[i][col]
-                aug[i] = [a - f * b for a, b in zip(aug[i], aug[r])]
-        pivots.append((col, r))
-        r += 1
-        if r == n:
-            break
-    t = list(map(Fraction, target))
-    comb = [Fraction(0)] * n
-    for col, ri in pivots:
-        if t[col] != 0:
-            f = t[col]
-            row = aug[ri]
-            t = [a - f * b for a, b in zip(t, row[:width])]
-            comb = [a + f * b for a, b in zip(comb, row[width:])]
-    if any(v != 0 for v in t):
+    """Coefficients c with sum c[i] * rows[i] == target, or None when the
+    target is outside the span.  Rows and target are sparse; with
+    independent rows the coefficients are unique."""
+    ech = Echelon()
+    for i, row in enumerate(rows):
+        ech.add(row, tag=i)
+    rest, combo = ech.reduce(target)
+    if rest:
         return None
-    return comb
-
-
-class SparseSpan:
-    """Incrementally built row space with membership tests.
-
-    Rows are dicts column-key -> Fraction.  Columns can be any hashable key
-    (we use monomial tuples).  `add` reduces and inserts, `contains` only
-    reduces.
-    """
-
-    def __init__(self):
-        self.pivot_rows = {}  # pivot column key -> reduced row dict
-
-    def _reduce(self, row):
-        row = {k: Fraction(v) for k, v in row.items() if v != 0}
-        while row:
-            # deterministic pivot choice: smallest key repr
-            hit = None
-            for k in row:
-                if k in self.pivot_rows:
-                    hit = k
-                    break
-            if hit is None:
-                return row
-            fac = row[hit]
-            for k, v in self.pivot_rows[hit].items():
-                nv = row.get(k, 0) - fac * v
-                if nv:
-                    row[k] = nv
-                else:
-                    row.pop(k, None)
-        return row
-
-    def add(self, row) -> bool:
-        """Insert a row; returns True when it enlarged the span."""
-        red = self._reduce(row)
-        if not red:
-            return False
-        piv = min(red, key=repr)
-        inv = 1 / red[piv]
-        red = {k: v * inv for k, v in red.items()}
-        self.pivot_rows[piv] = red
-        return True
-
-    def contains(self, row) -> bool:
-        return not self._reduce(row)
-
-    def dim(self) -> int:
-        return len(self.pivot_rows)
+    return [combo.get(i, Fraction(0)) for i in range(len(rows))]
 
 
 # ------------------------------------------------------------ over Z
@@ -194,6 +153,31 @@ def smith_with_transforms(mat):
         for row in v:
             row[j], row[k] = row[k], row[j]
 
+    def clear(r):
+        """Clear row and column r off the diagonal; make a[r][r] >= 0."""
+        while True:
+            done = True
+            for i in range(m):
+                if i != r and a[i][r]:
+                    row_op(i, r, a[i][r] // a[r][r])
+                    if a[i][r]:
+                        row_swap(r, i)
+                        done = False
+            for j in range(n):
+                if j != r and a[r][j]:
+                    col_op(j, r, a[r][j] // a[r][r])
+                    if a[r][j]:
+                        col_swap(r, j)
+                        done = False
+            if done:
+                break
+        fix_sign(r)
+
+    def fix_sign(r):
+        if a[r][r] < 0:
+            a[r] = [-x for x in a[r]]
+            u[r] = [-x for x in u[r]]
+
     r = 0
     while r < min(m, n):
         found = None
@@ -211,25 +195,7 @@ def smith_with_transforms(mat):
             row_swap(r, i)
         if j != r:
             col_swap(r, j)
-        while True:
-            done = True
-            for i in range(m):
-                if i != r and a[i][r]:
-                    row_op(i, r, a[i][r] // a[r][r])
-                    if a[i][r]:
-                        row_swap(r, i)
-                        done = False
-            for j in range(n):
-                if j != r and a[r][j]:
-                    col_op(j, r, a[r][j] // a[r][r])
-                    if a[r][j]:
-                        col_swap(r, j)
-                        done = False
-            if done:
-                break
-        if a[r][r] < 0:
-            a[r] = [-x for x in a[r]]
-            u[r] = [-x for x in u[r]]
+        clear(r)
         r += 1
     # divisibility chain, keeping transforms in sync
     for _ in range(r):
@@ -238,28 +204,8 @@ def smith_with_transforms(mat):
             if x and y % x:
                 # standard 2x2 trick: add col i+1 to col i, then reduce
                 col_op(i, i + 1, -1)
-                while True:
-                    done = True
-                    for ii in range(m):
-                        if ii != i and a[ii][i]:
-                            row_op(ii, i, a[ii][i] // a[i][i])
-                            if a[ii][i]:
-                                row_swap(i, ii)
-                                done = False
-                    for jj in range(n):
-                        if jj != i and a[i][jj]:
-                            col_op(jj, i, a[i][jj] // a[i][i])
-                            if a[i][jj]:
-                                col_swap(i, jj)
-                                done = False
-                    if done:
-                        break
-                if a[i][i] < 0:
-                    a[i] = [-x for x in a[i]]
-                    u[i] = [-x for x in u[i]]
-                if a[i + 1][i + 1] < 0:
-                    a[i + 1] = [-x for x in a[i + 1]]
-                    u[i + 1] = [-x for x in u[i + 1]]
+                clear(i)
+                fix_sign(i + 1)
     return u, a, v
 
 

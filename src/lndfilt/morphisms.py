@@ -102,11 +102,6 @@ class RingMorphism:
         return "RingMorphism(%s)" % body
 
 
-def check_morphism(f: RingMorphism) -> bool:
-    """Does every source relation map to 0 in the target?"""
-    return f.check()
-
-
 def identity_morphism(ring: RingPresentation) -> RingMorphism:
     images = {nm: ring.ctx.var(nm) for nm in ring.ctx.names}
     out = RingMorphism(ring, ring, images, check=False)

@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 
 from lndfilt.cli import main
+from lndfilt.derivations import Derivation
 
 TOY = ["--family", "new", "--n", "2", "--e", "1", "--P", "s^2", "--Q", "y^2"]
 
@@ -91,6 +92,30 @@ def test_filtration_layers(capsys):
     assert payload["layers"]["1"] == ["-x*z + y^2"]
     assert payload["layers"]["4"] == ["z"]
     assert payload["cross_checked"] == 5
+
+
+def test_filtration_honours_gb_budget(capsys):
+    code, out, err = run(capsys, ["filtration", *TOY, "--gb-budget", "1"])
+    assert code == 4
+    assert out == ""
+    assert err == "budget exhausted: reduction budget exhausted\n"
+
+
+def test_filtration_oracle_mismatch_exit_5(capsys, monkeypatch):
+    true_deg = Derivation.deg
+
+    def wrong_deg(self, p, bound=None):
+        # the family's own degree checks pass no bound; the command's do
+        d = true_deg(self, p, bound)
+        return d + 1 if bound == 63 else d
+
+    monkeypatch.setattr(Derivation, "deg", wrong_deg)
+    code, out, err = run(capsys, ["filtration", *TOY, "--r", "2",
+                                  "--nilp-bound", "63"])
+    assert code == 5
+    assert out == ""
+    assert err.startswith("internal: oracle degree of ")
+    assert err.count("\n") == 1
 
 
 def test_gr_proper_with_induced_derivation(capsys):

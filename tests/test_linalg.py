@@ -14,10 +14,10 @@ from fractions import Fraction
 
 import pytest
 
-from lndfilt.linalg import (SparseSpan, integer_kth_root, nullspace,
+from lndfilt.linalg import (Echelon, integer_kth_root, nullspace,
                             rational_kth_root, rational_roots,
                             smith_normal_form, smith_with_transforms,
-                            solve_combination, span_equal)
+                            solve_combination)
 
 
 def _minor_gcds(mat):
@@ -108,19 +108,58 @@ def test_smith_transforms_are_unimodular():
             assert b % a == 0
 
 
+# (U, D, V) exactly as the two-loop implementation returned them; the
+# automorphism scalings of `iso` are read off U and V, so they must not move
+SMITH_PINNED = [
+    ([[2, 0], [0, 3]],
+     ([[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -3], [1, -2]])),
+    ([[6, 4], [4, 6]],
+     ([[0, 1], [1, 1]], [[2, 0], [0, 10]], [[-1, 3], [1, -2]])),
+    ([[2, 1, 0, -2], [-1, 2, -1, 0]],
+     ([[1, 1], [1, 2]], [[1, 0, 0, 0], [0, 1, 0, 0]],
+      [[1, 0, -3, -2], [0, 1, -4, -2], [0, 1, -5, -2], [0, 1, -5, -3]])),
+    ([[0, 0, 4], [6, 0, 0]],
+     ([[-1, 1], [-3, 2]], [[2, 0, 0], [0, 12, 0]],
+      [[1, -2, 0], [0, 0, 1], [1, -3, 0]])),
+    ([[2, 0, 0], [0, 3, 0], [0, 0, 5]],
+     ([[-1, 1, 0], [-3, 2, -1], [15, -10, 6]],
+      [[1, 0, 0], [0, 1, 0], [0, 0, 30]],
+      [[1, -3, -15], [1, -2, -10], [0, 1, 6]])),
+    ([[4, -6, 2], [3, 9, -3], [0, 5, 10]],
+     ([[1, -1, 0], [231, -308, 769], [465, -620, 1548]],
+      [[1, 0, 0], [0, 1, 0], [0, 0, 630]],
+      [[1, -430, 134575], [0, -29, 9076], [0, -1, 313]])),
+    ([[-2, 0], [0, -3]],
+     ([[1, -1], [3, -2]], [[1, 0], [0, 6]], [[1, -3], [1, -2]])),
+    ([[0, -5]], ([[-1]], [[5, 0]], [[0, 1], [1, 0]])),
+    ([[3], [-7]], ([[-2, -1], [7, 3]], [[1], [0]], [[1]])),
+    ([[-4, 6], [10, -3]],
+     ([[-3, -1], [-77, -26]], [[1, 0], [0, 48]], [[8, -15], [1, -2]])),
+]
+
+
+@pytest.mark.parametrize("mat, udv", SMITH_PINNED)
+def test_smith_transforms_pinned(mat, udv):
+    assert smith_with_transforms(mat) == udv
+
+
 def test_nullspace_vectors_solve():
     rng = random.Random(44)
     for _ in range(30):
         m, n = rng.randint(1, 5), rng.randint(1, 6)
         rows = [[Fraction(rng.randint(-3, 3)) for _ in range(n)]
                 for _ in range(m)]
-        basis = nullspace(rows, n)
+        basis = nullspace([_sparse(row) for row in rows], n)
         for v in basis:
             for row in rows:
                 assert sum(c * x for c, x in zip(row, v)) == 0
         # rank-nullity against an independent rank count
         rank = _rank(rows)
         assert len(basis) == n - rank
+
+
+def _sparse(row):
+    return {j: c for j, c in enumerate(row) if c}
 
 
 def _rank(rows):
@@ -141,20 +180,17 @@ def _rank(rows):
 
 
 def test_solve_combination():
-    rows = [[Fraction(1), Fraction(0), Fraction(1)],
-            [Fraction(0), Fraction(1), Fraction(1)]]
-    target = [Fraction(2), Fraction(3), Fraction(5)]
+    rows = [{0: Fraction(1), 2: Fraction(1)}, {1: Fraction(1), 2: Fraction(1)}]
+    target = {0: Fraction(2), 1: Fraction(3), 2: Fraction(5)}
     coeffs = solve_combination(rows, target)
-    assert coeffs is not None
-    for j in range(3):
-        assert sum(c * rows[i][j] for i, c in enumerate(coeffs)) == target[j]
-    assert solve_combination(rows, [Fraction(1), Fraction(1), Fraction(0)]) is None
-    assert solve_combination([], [Fraction(0)]) == []
-    assert solve_combination([], [Fraction(1)]) is None
+    assert coeffs == [2, 3]
+    assert solve_combination(rows, {0: Fraction(1), 1: Fraction(1)}) is None
+    assert solve_combination([], {}) == []
+    assert solve_combination([], {0: Fraction(1)}) is None
 
 
 def test_sparse_span_membership():
-    span = SparseSpan()
+    span = Echelon()
     assert span.dim() == 0
     assert span.add({("a",): Fraction(1), ("b",): Fraction(1)})
     assert span.add({("b",): Fraction(2)})
@@ -165,12 +201,22 @@ def test_sparse_span_membership():
     assert span.contains({})
 
 
-def test_span_equal():
-    a = [[1, 0], [0, 1]]
-    b = [[1, 1], [1, -1]]
-    assert span_equal(a, b, 2)
-    assert not span_equal(a, [[1, 0]], 2)
-    assert span_equal([[2, 4]], [[1, 2]], 2)
+def test_echelon_is_reduced_and_tracks_tags():
+    span = Echelon()
+    assert span.add({2: 1, 3: 4}, tag="p")
+    assert span.add({0: 2, 2: 1}, tag="q")
+    assert span.add({1: 1, 2: 2, 3: 1}, tag="r")
+    # pivots are the smallest columns, each cleared from the other rows
+    assert span.rows == {0: {0: 1, 3: -2}, 1: {1: 1, 3: -7}, 2: {2: 1, 3: 4}}
+    added = {"p": {2: 1, 3: 4}, "q": {0: 2, 2: 1}, "r": {1: 1, 2: 2, 3: 1}}
+    for piv, combo in span.combos.items():
+        total: dict = {}
+        for tag, c in combo.items():
+            for k, v in added[tag].items():
+                total[k] = total.get(k, 0) + c * v
+        assert {k: v for k, v in total.items() if v} == span.rows[piv]
+    rest, combo = span.reduce({0: 1, 3: 5})
+    assert rest == {3: 7} and combo == {"p": Fraction(-1, 2), "q": Fraction(1, 2)}
 
 
 def test_integer_and_rational_roots():
