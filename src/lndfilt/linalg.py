@@ -40,6 +40,9 @@ class Echelon:
     def __init__(self):
         self.rows: dict = {}
         self.combos: dict = {}
+        # column -> pivots of the stored rows that are nonzero there, so a
+        # new pivot is cleared without scanning every stored row
+        self._holders: dict = {}
 
     def reduce(self, row):
         """(rest, combo): rest is row minus the combination combo of added
@@ -67,11 +70,22 @@ class Echelon:
         combo = {} if tag is None else {tag: inv}
         _axpy(combo, -inv, removed)
         rest = {k: v * inv for k, v in rest.items()}
-        for p, other in self.rows.items():
-            f = other.get(piv)
-            if f:
-                _axpy(other, -f, rest)
-                _axpy(self.combos[p], -f, combo)
+        holders = self._holders
+        for p in list(holders.get(piv, ())):
+            other = self.rows[p]
+            f = other[piv]
+            for k, v in rest.items():
+                nv = other.get(k, 0) - f * v
+                if nv:
+                    if k not in other:
+                        holders.setdefault(k, set()).add(p)
+                    other[k] = nv
+                else:
+                    del other[k]
+                    holders[k].discard(p)
+            _axpy(self.combos[p], -f, combo)
+        for k in rest:
+            holders.setdefault(k, set()).add(piv)
         self.rows[piv] = rest
         self.combos[piv] = combo
         return True
