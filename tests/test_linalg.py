@@ -108,8 +108,8 @@ def test_smith_transforms_are_unimodular():
             assert b % a == 0
 
 
-# (U, D, V) exactly as the two-loop implementation returned them; the
-# automorphism scalings of `iso` are read off U and V, so they must not move
+# Pinned (U, D, V): `iso` reads its scalings off U and V, so a change in the
+# order of the row and column operations must show here
 SMITH_PINNED = [
     ([[2, 0], [0, 3]],
      ([[-1, 1], [-3, 2]], [[1, 0], [0, 6]], [[1, -3], [1, -2]])),
