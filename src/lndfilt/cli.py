@@ -260,7 +260,8 @@ def cmd_gr(session, args):
 def cmd_search(session, args):
     inst = _resolve_instance(session, args)
     res = bounded_lnd_search(inst, image_degree_bound=args.degree_bound,
-                             nilp_bound=args.nilp_bound)
+                             nilp_bound=args.nilp_bound,
+                             budget=Budget(args.gb_budget))
     cands = [{"images": {nm: str(c.derivation.image_of(nm))
                          for nm in inst.ring.ctx.names},
               "classification": c.classification,

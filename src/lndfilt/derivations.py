@@ -42,16 +42,16 @@ class RingPresentation:
             raise ValueError("relations in wrong context")
         self.order = order if order is not None else MonomialOrder.grlex(len(ctx))
 
-    def nf(self, p: Polynomial) -> Polynomial:
+    def nf(self, p: Polynomial, budget=None) -> Polynomial:
         if not self.relations.gens:
             return p
-        return normal_form(p, self.relations, self.order)
+        return normal_form(p, self.relations, self.order, budget)
 
-    def eq(self, p: Polynomial, q: Polynomial) -> bool:
-        return self.nf(p - q).is_zero()
+    def eq(self, p: Polynomial, q: Polynomial, budget=None) -> bool:
+        return self.nf(p - q, budget).is_zero()
 
-    def is_zero(self, p: Polynomial) -> bool:
-        return self.nf(p).is_zero()
+    def is_zero(self, p: Polynomial, budget=None) -> bool:
+        return self.nf(p, budget).is_zero()
 
     def __repr__(self):
         return "RingPresentation(%r mod %d relations)" % (self.ctx, len(self.relations.gens))
@@ -72,19 +72,20 @@ class Derivation:
 
     __slots__ = ("ring", "images", "_var_orders")
 
-    def __init__(self, ring: RingPresentation, images, check: bool = True):
+    def __init__(self, ring: RingPresentation, images, check: bool = True,
+                 budget=None):
         if len(images) != len(ring.ctx):
             raise ValueError("need one image per generator")
         self.ring = ring
-        self.images = tuple(ring.nf(p) for p in images)
+        self.images = tuple(ring.nf(p, budget) for p in images)
         self._var_orders = None
         if check:
             for g in ring.relations.gens:
-                v = self._apply_free(g)
-                if not ring.is_zero(v):
+                v = ring.nf(self._apply_free(g), budget)
+                if not v.is_zero():
                     raise NotWellDefined(
                         "derivation does not preserve the relation %s "
-                        "(image %s)" % (g, ring.nf(v)))
+                        "(image %s)" % (g, v))
 
     def _apply_free(self, p: Polynomial) -> Polynomial:
         out = self.ring.ctx.zero()
@@ -96,9 +97,9 @@ class Derivation:
                 out = out + d * img
         return out
 
-    def apply(self, p: Polynomial) -> Polynomial:
+    def apply(self, p: Polynomial, budget=None) -> Polynomial:
         """Leibniz extension then reduction to normal form."""
-        return self.ring.nf(self._apply_free(p))
+        return self.ring.nf(self._apply_free(p), budget)
 
     def iterate(self, p: Polynomial, k: int) -> Polynomial:
         q = self.ring.nf(p)
@@ -111,33 +112,54 @@ class Derivation:
     def image_of(self, name: str) -> Polynomial:
         return self.images[self.ring.ctx.index(name)]
 
+    def scaled(self, c) -> "Derivation":
+        """c * self for a nonzero constant c.
+
+        Normal forms are linear, so the scaled images are still reduced and
+        still preserve the relations; nothing is reduced or checked again.
+        As (cD)^k = c^k D^k, every iterate of cD has the support of the
+        matching iterate of D: nilpotency orders, degrees and term counts
+        are those of self.
+        """
+        out = Derivation.__new__(Derivation)
+        out.ring = self.ring
+        out.images = tuple(
+            Polynomial(img.ctx, {m: v * c for m, v in img.terms.items()})
+            for img in self.images)
+        out._var_orders = None
+        return out
+
     # ------------------------------------------------ nilpotency and degree
 
-    def variable_orders(self, bound: int = 256, term_guard: int | None = None):
+    def variable_orders(self, bound: int = 256, term_guard: int | None = None,
+                        budget=None):
         """Nilpotency order per generator, or None when the bound misses."""
         if self._var_orders is not None:
             return self._var_orders
         orders = {}
         for nm in self.ring.ctx.names:
-            d = self._deg_reduced(self.ring.nf(self.ring.ctx.var(nm)), bound, term_guard)
+            d = self._deg_reduced(self.ring.nf(self.ring.ctx.var(nm), budget),
+                                  bound, term_guard, budget)
             if d is None:
                 return None
             orders[nm] = 0 if d == NEG_INF else d
         self._var_orders = orders
         return orders
 
-    def is_locally_nilpotent(self, bound: int = 256, term_guard: int | None = None):
+    def is_locally_nilpotent(self, bound: int = 256, term_guard: int | None = None,
+                             budget=None):
         """NilpotencyCertificate, or None as the no-within-bound verdict."""
-        orders = self.variable_orders(bound, term_guard)
+        orders = self.variable_orders(bound, term_guard, budget)
         if orders is None:
             return None
         return NilpotencyCertificate(orders, bound)
 
-    def _deg_reduced(self, q: Polynomial, bound: int, term_guard: int | None):
+    def _deg_reduced(self, q: Polynomial, bound: int, term_guard: int | None,
+                     budget=None):
         if q.is_zero():
             return NEG_INF
         for k in range(bound + 1):
-            q = self.apply(q)
+            q = self.apply(q, budget)
             if q.is_zero():
                 return k
             if term_guard is not None and q.num_terms() > term_guard:

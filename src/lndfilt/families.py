@@ -26,6 +26,7 @@ descriptions.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -280,7 +281,7 @@ def _monomials_up_to(ctx: Context, degree: int):
 
 def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
                        nilp_bound: int, samples: int = 5, seed: int = 3,
-                       term_guard: int = 300) -> LndSearchResult:
+                       term_guard: int = 300, budget=None) -> LndSearchResult:
     """Solve for all derivations with images of bounded degree, then filter
     by bounded nilpotency and classify against the canonical derivation.
 
@@ -289,6 +290,11 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
     unknowns.  Nilpotency is tested on each nullspace basis vector and on a
     few random combinations; nilpotent derivations do not form a linear
     space, so this is evidence, not a classification of the whole space.
+    Each test runs on the multiple of the candidate that clears the
+    denominators of its image coefficients, which has the same nilpotency
+    orders and iterates of the same sizes, so the iteration stays in
+    integers as far as the relations allow.  `budget` limits the reduction
+    steps of all the normal forms the search runs.
     """
     if image_degree_bound < 1 or nilp_bound < 1:
         raise PreconditionError("bounds must be at least 1")
@@ -314,6 +320,7 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
     basis = nullspace(rows.values(), len(columns))
 
     nimg = len(img_monos)
+    nimg_all = len(ctx) * nimg  # the cofactor unknowns follow the images
 
     def vector_to_derivation(vec):
         images = []
@@ -322,9 +329,9 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
             for k, mono in enumerate(img_monos):
                 c = vec[vi * nimg + k]
                 if c:
-                    terms[mono] = Fraction(c)
+                    terms[mono] = c
             images.append(Polynomial(ctx, terms))
-        return Derivation(ring, images, check=True)
+        return Derivation(ring, images, check=True, budget=budget)
 
     result = LndSearchResult(solution_dimension=len(basis))
     seen_keys = set()
@@ -337,12 +344,15 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
         key = tuple(img.key() for img in D.images)
         if key in seen_keys:
             return None
-        cert = D.is_locally_nilpotent(nilp_bound, term_guard)
+        scale = math.lcm(*(c.denominator for c in vec[:nimg_all]))
+        cleared = D.scaled(scale) if scale != 1 else D
+        cert = cleared.is_locally_nilpotent(nilp_bound, term_guard, budget)
         if cert is None:
             result.rejected += 1
             return None
         seen_keys.add(key)
-        cls, factor = _classify_against_canonical(inst, D, image_degree_bound)
+        cls, factor = _classify_against_canonical(inst, D, image_degree_bound,
+                                                  budget)
         result.candidates.append(LndCandidate(D, cert, cls, factor, source))
         return D
 
@@ -355,23 +365,30 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
         coeffs = [rng.randint(-2, 2) for _ in basis]
         if not any(coeffs):
             coeffs[rng.randrange(len(basis))] = 1
-        vec = [sum(c * b[i] for c, b in zip(coeffs, basis))
-               for i in range(len(basis[0]))]
+        # the basis vectors are mostly zero, so add only the nonzero products
+        vec = [0] * len(basis[0])
+        for c, b in zip(coeffs, basis):
+            if c:
+                for i, v in enumerate(b):
+                    if v:
+                        vec[i] += c * v
         consider(vec, "sample")
 
-    canonical_images = [ring.nf(inst.derivation.image_of(nm))
+    canonical_images = [ring.nf(inst.derivation.image_of(nm), budget)
                         for nm in ctx.names]
     if all(img.degree() <= image_degree_bound or img.is_zero()
            for img in canonical_images):
         have = any(
-            all(ring.eq(c.derivation.image_of(nm), inst.derivation.image_of(nm))
+            all(ring.eq(c.derivation.image_of(nm), inst.derivation.image_of(nm),
+                        budget)
                 for nm in ctx.names)
             for c in result.candidates)
         if not have:
-            cert = inst.derivation.is_locally_nilpotent(nilp_bound, term_guard)
+            cert = inst.derivation.is_locally_nilpotent(nilp_bound, term_guard,
+                                                        budget)
             if cert is not None:
                 cls, factor = _classify_against_canonical(
-                    inst, inst.derivation, image_degree_bound)
+                    inst, inst.derivation, image_degree_bound, budget)
                 result.candidates.append(LndCandidate(
                     inst.derivation, cert, cls, factor, "canonical"))
     else:
@@ -381,19 +398,20 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
 
 
 def _classify_against_canonical(inst: FamilyInstance, D: Derivation,
-                                degree_bound: int):
+                                degree_bound: int, budget=None):
     """multiple-of-canonical when D = f * canonical for one f in the kernel
     variables; returns (classification, f or None)."""
     ring = inst.ring
     ctx = ring.ctx
     for z in inst.kernel_gens:
-        if not ring.is_zero(D.apply(z)):
+        if not ring.is_zero(D.apply(z, budget), budget):
             return "other", None
-    target = ring.nf(D.apply(inst.slice_elem))
-    plinth = ring.nf(inst.plinth_gen)
+    target = ring.nf(D.apply(inst.slice_elem, budget), budget)
+    plinth = ring.nf(inst.plinth_gen, budget)
     f = exact_quotient(target, plinth)
     if f is None:
-        f = _quotient_by_linear_solve(inst, target, plinth, degree_bound)
+        f = _quotient_by_linear_solve(inst, target, plinth, degree_bound,
+                                      budget)
         if f is None:
             return "other", None
     kernel_names = {nm for g in inst.kernel_gens for nm in ctx.names
@@ -402,15 +420,18 @@ def _classify_against_canonical(inst: FamilyInstance, D: Derivation,
         if nm not in kernel_names and f.degree_in(nm) > 0:
             return "other", None
     for nm in ctx.names:
-        if not ring.is_zero(D.image_of(nm) - f * inst.derivation.image_of(nm)):
+        if not ring.is_zero(D.image_of(nm) - f * inst.derivation.image_of(nm),
+                            budget):
             return "other", None
     return "multiple-of-canonical", f
 
 
-def _quotient_by_linear_solve(inst, target, plinth, degree_bound):
+def _quotient_by_linear_solve(inst, target, plinth, degree_bound, budget=None):
+    """f in the span of the kernel monomials of degree <= degree_bound with
+    nf(f * plinth) = target, or None when there is none."""
     cand = _kernel_monomials(inst, degree_bound)
-    sol = solve_combination([inst.ring.nf(c * plinth).terms for c in cand],
-                            target.terms)
+    sol = solve_combination([inst.ring.nf(c * plinth, budget).terms
+                             for c in cand], target.terms)
     if sol is None:
         return None
     f = inst.ring.ctx.zero()

@@ -21,7 +21,7 @@ a failed probe always carries an explicit witness.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 
 from .derivations import Derivation, RingPresentation

@@ -11,8 +11,10 @@ once, when the monomial enters the work set, keeps the live terms in a heap
 of negated keys with lazy deletion of cancelled terms, and pops the largest
 term at each step.  Buchberger keeps each basis element's leading monomial
 in a list parallel to the basis, filled once when the element joins, and
-each pair carries the key of its lcm; pair selection and the redundancy
-test of the autoreduction read those instead of rescanning the terms.
+each pair carries the key of its lcm; pair selection, the redundancy test
+of the autoreduction and every reduction read those instead of rescanning
+the terms.  An `Ideal` keeps the leading monomials of each cached basis
+next to it, so `normal_form` hands them to `nf_against` as well.
 
 Monomial orders: lex, graded lex, and weight-refined (weight first, lex on a
 declared variable permutation as tie-break; zero weights are allowed).  An
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from typing import Optional, Sequence
+from typing import Sequence
 
 from .linalg import smith_normal_form
 from .poly import Context, Polynomial, mono_div, mono_lcm, mono_mul, mono_wdeg
@@ -123,7 +125,7 @@ def leading_term(p: Polynomial, order: MonomialOrder):
 
 def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     m, c = leading_term(p, order)
-    return p if c == 1 else p * (1 / c)
+    return p if c == 1 else p * Fraction(1, c)
 
 
 def exact_quotient(p: Polynomial, d: Polynomial,
@@ -143,7 +145,7 @@ def exact_quotient(p: Polynomial, d: Polynomial,
         mm = mono_div(m, lm)
         if mm is None:
             return None
-        t = Polynomial(p.ctx, {mm: c / lc})
+        t = Polynomial(p.ctx, {mm: Fraction(c, lc)})
         q = q + t
         r = r - t * d
     return q
@@ -152,7 +154,7 @@ def exact_quotient(p: Polynomial, d: Polynomial,
 class Ideal:
     """Finitely generated ideal with per-order cached reduced Groebner bases."""
 
-    __slots__ = ("ctx", "gens", "_gb")
+    __slots__ = ("ctx", "gens", "_gb", "_lms")
 
     def __init__(self, ctx: Context, gens: Sequence[Polynomial]):
         for g in gens:
@@ -161,6 +163,7 @@ class Ideal:
         self.ctx = ctx
         self.gens = tuple(g for g in gens if not g.is_zero())
         self._gb: dict = {}
+        self._lms: dict = {}  # leading monomials, parallel to each basis
 
     def __repr__(self):
         return "Ideal(%s)" % "; ".join(str(g) for g in self.gens)
@@ -168,22 +171,32 @@ class Ideal:
     def groebner(self, order: MonomialOrder, budget=None):
         sig = order.signature()
         if sig not in self._gb:
-            self._gb[sig] = buchberger(self.gens, order, budget)
+            self.cache_groebner(order, buchberger(self.gens, order, budget))
         return self._gb[sig]
 
+    def leading_monomials(self, order: MonomialOrder):
+        """Leading monomials of the cached basis for order, parallel to it."""
+        return self._lms[order.signature()]
+
     def cache_groebner(self, order: MonomialOrder, basis):
-        self._gb[order.signature()] = list(basis)
+        sig = order.signature()
+        self._gb[sig] = list(basis)
+        self._lms[sig] = [leading_monomial(g, order) for g in basis]
 
 
-def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None) -> Polynomial:
+def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None,
+               lms=None) -> Polynomial:
     """Full normal form of p against a list of polynomials.
 
     Terms are taken largest first from a heap of negated order keys; each
     term reduces by the first basis element whose leading monomial divides
-    it, and `rem` receives the irreducible ones in descending order.
+    it, and `rem` receives the irreducible ones in descending order.  `lms`
+    are the basis elements' leading monomials when the caller has them.
     """
     budget = _as_budget(budget)
-    lead = [(leading_monomial(g, order), g) for g in basis]
+    if lms is None:
+        lms = [leading_monomial(g, order) for g in basis]
+    lead = list(zip(lms, basis))
     key = order.key
     work = dict(p.terms)
     heap = [(_neg(key(m)), m) for m in work]
@@ -205,7 +218,8 @@ def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None) -> Polyn
             continue
         budget.step()
         q, lm, g = hit
-        fac = c / g.terms[lm]
+        lc = g.terms[lm]
+        fac = c if lc == 1 else Fraction(c, lc)
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue
@@ -229,8 +243,8 @@ def _neg(k):
 
 def _spoly(f: Polynomial, mf, g: Polynomial, mg) -> Polynomial:
     l = mono_lcm(mf, mg)
-    tf = Polynomial(f.ctx, {mono_div(l, mf): 1 / f.terms[mf]})
-    tg = Polynomial(g.ctx, {mono_div(l, mg): 1 / g.terms[mg]})
+    tf = Polynomial(f.ctx, {mono_div(l, mf): Fraction(1, f.terms[mf])})
+    tg = Polynomial(g.ctx, {mono_div(l, mg): Fraction(1, g.terms[mg])})
     return tf * f - tg * g
 
 
@@ -253,7 +267,8 @@ def buchberger(gens, order: MonomialOrder, budget=None):
         mi, mj = lms[i], lms[j]
         if mono_lcm(mi, mj) == mono_mul(mi, mj):
             continue  # coprime leading terms, S-poly reduces to zero
-        r = nf_against(_spoly(basis[i], mi, basis[j], mj), basis, order, budget)
+        r = nf_against(_spoly(basis[i], mi, basis[j], mj), basis, order,
+                       budget, lms)
         if not r.is_zero():
             r = monic(r, order)
             basis.append(r)
@@ -279,9 +294,12 @@ def _autoreduce(basis, order, budget):
         changed = False
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            r = nf_against(kept[i], others, order, budget) if others else kept[i]
+            r = (nf_against(kept[i], others, order, budget,
+                            kept_lms[:i] + kept_lms[i + 1:])
+                 if others else kept[i])
             if r.is_zero():
                 kept.pop(i)
+                kept_lms.pop(i)
                 changed = True
                 break
             r = monic(r, order)
@@ -296,7 +314,7 @@ def normal_form(p: Polynomial, ideal: Ideal, order: MonomialOrder, budget=None) 
     gb = ideal.groebner(order, budget)
     if not gb:
         return p
-    return nf_against(p, gb, order, budget)
+    return nf_against(p, gb, order, budget, ideal.leading_monomials(order))
 
 
 def member(p: Polynomial, ideal: Ideal, order: MonomialOrder | None = None, budget=None) -> bool:

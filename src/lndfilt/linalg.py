@@ -66,7 +66,7 @@ class Echelon:
         if not rest:
             return False
         piv = min(rest)
-        inv = 1 / rest[piv]
+        inv = Fraction(1, rest[piv])
         combo = {} if tag is None else {tag: inv}
         _axpy(combo, -inv, removed)
         rest = {k: v * inv for k, v in rest.items()}

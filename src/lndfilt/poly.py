@@ -1,28 +1,45 @@
 """Sparse multivariate polynomials over the rationals.
 
-Coefficients are `fractions.Fraction` (arbitrary precision, always in lowest
-terms, zero is never stored).  A monomial is a plain tuple of non-negative
-exponents, one slot per variable of the owning `Context`.  All operations are
-exact; nothing here ever touches floating point except the -infinity sentinel
-used for the degree of the zero polynomial.
+A stored coefficient is a plain `int` when it is integral and a
+`fractions.Fraction` with denominator > 1 otherwise; zero is never stored.
+The constructor brings every value into that form and rejects anything that
+is neither an `int` nor a `Fraction` with TypeError.  Arithmetic on
+integral coefficients thus runs on Python ints and creates no Fraction at
+all, while a rational coefficient costs what it always did.  Two rules
+keep this exact: a quotient of two coefficients is built as
+`Fraction(a, b)` (`/` on two ints would give a float), and
+`constant_value` hands out a `Fraction`.
+
+A monomial is a plain tuple of non-negative exponents, one slot per variable
+of the owning `Context`.  All operations are exact; nothing here ever
+touches floating point except the -infinity sentinel used for the degree of
+the zero polynomial.
 
 Polynomials are value objects: no method mutates `self` after construction.
 That makes them safe to share between cached Groebner bases and callers.
-
-Multiplication takes an integer path when every coefficient of both operands
-has denominator 1: it accumulates products of the `int` numerators and wraps
-each nonzero result in `Fraction` once, so the stored terms are `Fraction`
-either way and the product is the same as on the rational path.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add
 from typing import Iterable, Mapping, Sequence
 
 NEG_INF = float("-inf")
 
 Mono = tuple  # exponent tuple, len == number of context variables
+
+
+def _coeff(c):
+    """c in stored form: an int when integral, else a Fraction."""
+    if type(c) is int:
+        return c
+    if isinstance(c, Fraction):
+        return c.numerator if c.denominator == 1 else c
+    if isinstance(c, int):  # bool and other int subclasses
+        return int(c)
+    raise TypeError("coefficient must be an int or a Fraction, not %s"
+                    % type(c).__name__)
 
 
 class ContextMismatch(ValueError):
@@ -72,16 +89,13 @@ class Context:
         return self.const(1)
 
     def const(self, c) -> "Polynomial":
-        c = Fraction(c)
-        if c == 0:
-            return Polynomial(self, {})
         return Polynomial(self, {(0,) * len(self.names): c})
 
     def var(self, name: str) -> "Polynomial":
         i = self.index(name)
         expo = [0] * len(self.names)
         expo[i] = 1
-        return Polynomial(self, {tuple(expo): Fraction(1)})
+        return Polynomial(self, {tuple(expo): 1})
 
     def gens(self) -> tuple:
         return tuple(self.var(nm) for nm in self.names)
@@ -90,10 +104,7 @@ class Context:
         expo = tuple(int(e) for e in expo)
         if len(expo) != len(self.names):
             raise ValueError("exponent tuple length mismatch")
-        c = Fraction(coeff)
-        if c == 0:
-            return Polynomial(self, {})
-        return Polynomial(self, {expo: c})
+        return Polynomial(self, {expo: coeff})
 
     def extend(self, extra: Sequence[str]) -> "Context":
         return Context(self.names + tuple(extra))
@@ -106,7 +117,7 @@ class Context:
 # ---------------------------------------------------------------- monomials
 
 def mono_mul(a: Mono, b: Mono) -> Mono:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_div(a: Mono, b: Mono):
@@ -136,7 +147,7 @@ def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object]) -> dict:
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
-            m = mono_mul(ma, mb)
+            m = tuple(map(add, ma, mb))
             nc = out.get(m, 0) + ca * cb
             if nc:
                 out[m] = nc
@@ -154,9 +165,10 @@ class Polynomial:
 
     __slots__ = ("ctx", "terms")
 
-    def __init__(self, ctx: Context, terms: Mapping[Mono, Fraction]):
+    def __init__(self, ctx: Context, terms: Mapping[Mono, object]):
         self.ctx = ctx
-        self.terms = {m: c for m, c in terms.items() if c != 0}
+        self.terms = {m: v for m, c in terms.items()
+                      if (v := c if type(c) is int else _coeff(c))}
 
     # -------------------------------------------------- basic predicates
 
@@ -172,7 +184,7 @@ class Polynomial:
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (the value at the origin)."""
         zero = (0,) * len(self.ctx)
-        return self.terms.get(zero, Fraction(0))
+        return Fraction(self.terms.get(zero, 0))
 
     def num_terms(self) -> int:
         return len(self.terms)
@@ -216,7 +228,7 @@ class Polynomial:
 
     def __mul__(self, other):
         if not isinstance(other, Polynomial):
-            c = Fraction(other)
+            c = _coeff(other)
             if c == 0:
                 return self.ctx.zero()
             return Polynomial(self.ctx, {m: co * c for m, co in self.terms.items()})
@@ -225,21 +237,15 @@ class Polynomial:
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
-        if (all(c.denominator == 1 for c in a.values())
-                and all(c.denominator == 1 for c in b.values())):
-            a = {m: c.numerator for m, c in a.items()}
-            b = {m: c.numerator for m, c in b.items()}
-            out = _mul_terms(a, b)
-            return Polynomial(self.ctx, {m: Fraction(c) for m, c in out.items()})
         return Polynomial(self.ctx, _mul_terms(a, b))
 
     __rmul__ = __mul__
 
     def __truediv__(self, scalar):
-        c = Fraction(scalar)
+        c = _coeff(scalar)
         if c == 0:
             raise ZeroDivisionError("polynomial divided by zero scalar")
-        return self * (1 / c)
+        return self * Fraction(1, c)
 
     def __pow__(self, n: int):
         if n < 0:
@@ -460,5 +466,5 @@ def random_polynomial(ctx: Context, rng, max_degree=3, max_terms=4,
         while c == 0:
             c = rng.randint(-coeff_bound, coeff_bound)
         m = tuple(expo)
-        terms[m] = terms.get(m, 0) + Fraction(c)
+        terms[m] = terms.get(m, 0) + c
     return Polynomial(ctx, terms)

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 import json
 
+import pytest
+
 from lndfilt.cli import main
 from lndfilt.derivations import Derivation
 
@@ -96,6 +98,20 @@ def test_filtration_layers(capsys):
 
 def test_filtration_honours_gb_budget(capsys):
     code, out, err = run(capsys, ["filtration", *TOY, "--gb-budget", "1"])
+    assert code == 4
+    assert out == ""
+    assert err == "budget exhausted: reduction budget exhausted\n"
+
+
+@pytest.mark.parametrize("family", [
+    ["--family", "danielewski", "--n", "2", "--P", "y^2"],
+    ["--family", "kr2", "--n", "2", "--e", "3", "--l", "2",
+     "--Q", "t^2 + x + z*t"],
+    TOY,
+])
+def test_search_honours_gb_budget(capsys, family):
+    code, out, err = run(capsys, ["search", *family, "--degree-bound=2",
+                                  "--gb-budget=1"])
     assert code == 4
     assert out == ""
     assert err == "budget exhausted: reduction budget exhausted\n"

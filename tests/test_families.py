@@ -6,10 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from lndfilt.families import (PreconditionError, bounded_lnd_search,
-                              make_danielewski, make_koras_russell2,
-                              make_new_family, ml_evidence,
-                              singular_at_origin, verify_layer_formulas)
+from lndfilt.families import (PreconditionError, _quotient_by_linear_solve,
+                              bounded_lnd_search, make_danielewski,
+                              make_koras_russell2, make_new_family,
+                              ml_evidence, singular_at_origin,
+                              verify_layer_formulas)
 from lndfilt.parser import parse_polynomial
 from lndfilt.poly import Context
 
@@ -151,6 +152,27 @@ def test_bounded_search_new_family():
     assert str(res.candidates[0].factor) == "1"
     with pytest.raises(PreconditionError):
         bounded_lnd_search(_toy(), image_degree_bound=0, nilp_bound=24)
+
+
+@pytest.mark.parametrize("make, f_text", [
+    (_dan2, "3/2 - 2*x + x^2/3"),
+    (_kr2, "x*z/2 - 3*z^2 + 2"),
+    (_toy, "-x^2 + 5/4"),
+])
+def test_quotient_by_linear_solve(make, f_text):
+    inst = make()
+    ring = inst.ring
+    plinth = ring.nf(inst.plinth_gen)
+    f = parse_polynomial(f_text, ring.ctx)  # in the kernel variables
+    target = ring.nf(f * plinth)
+    got = _quotient_by_linear_solve(inst, target, plinth, 2)
+    assert ring.nf(got * plinth - target).is_zero()
+    assert got == f  # the rows nf(monomial * plinth) are independent
+    # outside the span: the slice, and a kernel multiple above the bound
+    s = ring.nf(inst.slice_elem)
+    assert _quotient_by_linear_solve(inst, s, plinth, 2) is None
+    x3 = ring.nf(ring.ctx.var("x") ** 3 * plinth)
+    assert _quotient_by_linear_solve(inst, x3, plinth, 2) is None
 
 
 def test_ml_evidence():

@@ -1,11 +1,12 @@
-"""The reduction and product kernels against slow reference versions.
+"""The reduction and coefficient kernels against slow reference versions.
 
 `rescan_nf_against` is the earlier normal form, which rescans every live
 term's order key at each step.  The heap kernel must agree with it on the
 remainder, on the order of the remainder's terms and on the number of
-budget steps.  `rational_product` is the product loop run on `Fraction`
-coefficients throughout; the integer path of `Polynomial.__mul__` must give
-the same terms in the same order.
+budget steps.  The `oracle_*` functions run the polynomial operations on
+term dicts whose coefficients are all `Fraction`; the operations on stored
+coefficients (`int` when integral, `Fraction` otherwise) must give the same
+terms in the same order, and store every coefficient in that form.
 """
 
 from __future__ import annotations
@@ -44,7 +45,7 @@ def rescan_nf_against(p, basis, order, budget):
             continue
         budget.step()
         q, lm, g = hit
-        fac = c / g.terms[lm]
+        fac = Fraction(c) / g.terms[lm]
         for gm, gc in g.terms.items():
             if gm == lm:
                 continue
@@ -57,9 +58,14 @@ def rescan_nf_against(p, basis, order, budget):
     return Polynomial(p.ctx, rem)
 
 
-def rational_product(a, b):
+def stored_form(p):
+    """Every coefficient is an int, or a Fraction with denominator > 1."""
+    return all(type(c) is int or (type(c) is Fraction and c.denominator > 1)
+               for c in p.terms.values())
+
+
+def rational_product(x, y):
     """Reference product: the term loop on Fraction coefficients."""
-    x, y = a.terms, b.terms
     if len(x) > len(y):
         x, y = y, x
     out: dict = {}
@@ -152,10 +158,129 @@ def test_integer_product_matches_rational_product():
         paths.add(shape)
         for f, g in ((a, b), (b, a)):
             got = f * g
-            assert list(got.terms.items()) == list(rational_product(f, g).items())
-            assert all(type(c) is Fraction for c in got.terms.values())
+            want = rational_product(f.terms, g.terms)
+            assert list(got.terms.items()) == list(want.items())
+            assert stored_form(got)
     assert paths == {"integral", "rational", "mixed"}
     # a product whose terms cancel completely
     x, y = CTX.var("x"), CTX.var("y")
     assert ((x + y) * (x - y) - x * x + y * y).is_zero()
     assert (x * 2 + y) * CTX.zero() == CTX.zero()
+
+
+def random_rational(rng, max_degree=3, max_terms=5):
+    """Random polynomial whose coefficients mix integers and fractions."""
+    terms = {}
+    for _ in range(rng.randint(0, max_terms)):
+        expo = tuple(rng.randint(0, max_degree) for _ in CTX.names)
+        if sum(expo) <= max_degree:
+            terms[expo] = Fraction(rng.choice([-6, -3, -2, -1, 1, 2, 4]),
+                                   rng.choice([1, 1, 2, 3, 4]))
+    return Polynomial(CTX, terms)
+
+
+def as_fractions(p):
+    return {m: Fraction(c) for m, c in p.terms.items()}
+
+
+def oracle_add(a, b):
+    out = dict(a)
+    for m, c in b.items():
+        nc = out.get(m, 0) + c
+        if nc:
+            out[m] = nc
+        else:
+            out.pop(m, None)
+    return out
+
+
+def oracle_sub(a, b):
+    return oracle_add(a, {m: -c for m, c in b.items()})
+
+
+def oracle_pow(a, n):
+    """Binary powering, squaring the base as `Polynomial.__pow__` does."""
+    result = {(0,) * len(CTX): Fraction(1)}
+    base = a
+    while n:
+        if n & 1:
+            result = rational_product(result, base)
+        base = rational_product(base, base) if n > 1 else base
+        n >>= 1
+    return result
+
+
+def oracle_partial(a, i):
+    out = {}
+    for m, c in a.items():
+        if m[i]:
+            mm = list(m)
+            mm[i] -= 1
+            out[tuple(mm)] = c * m[i]
+    return out
+
+
+def oracle_subs(a, images):
+    out = {}
+    powers = [{} for _ in images]
+    for m, c in a.items():
+        term = {(0,) * len(CTX): c}
+        for i, e in enumerate(m):
+            if e:
+                if e not in powers[i]:
+                    powers[i][e] = oracle_pow(images[i], e)
+                term = rational_product(term, powers[i][e])
+        out = oracle_add(out, term)
+    return out
+
+
+def test_operations_match_fraction_oracle():
+    rng = random.Random(1729)
+    kinds = set()
+    for _ in range(150):
+        a, b = random_rational(rng), random_rational(rng)
+        fa, fb = as_fractions(a), as_fractions(b)
+        i = rng.randrange(len(CTX))
+        images = [random_rational(rng, max_degree=2, max_terms=3)
+                  for _ in CTX.names]
+        basis = [random_rational(rng, max_degree=2, max_terms=3)
+                 for _ in range(rng.randint(1, 3))]
+        basis = [g for g in basis if not g.is_zero()]
+        order = random_order(rng)
+        k = rng.randint(0, 3)
+        cases = [
+            (a + b, oracle_add(fa, fb)),
+            (a - b, oracle_sub(fa, fb)),
+            (a * b, rational_product(fa, fb)),
+            (a ** k, oracle_pow(fa, k)),
+            (a.partial(CTX.names[i]), oracle_partial(fa, i)),
+            (a.subs(dict(zip(CTX.names, images)), CTX),
+             oracle_subs(fa, [as_fractions(g) for g in images])),
+        ]
+        if basis:
+            want = rescan_nf_against(a, basis, order, Budget(10 ** 6))
+            cases.append((nf_against(a, basis, order), as_fractions(want)))
+        for got, want in cases:
+            assert list(got.terms.items()) == list(want.items())
+            assert stored_form(got)
+            kinds.update(type(c) for c in got.terms.values())
+    assert kinds == {int, Fraction}
+
+
+def test_coefficient_contract():
+    m = (1, 0, 0, 0)
+    for bad in (0.5, 0.0, "1", None, 1j):
+        with pytest.raises(TypeError):
+            Polynomial(CTX, {m: bad})
+    x = CTX.var("x")
+    for bad in (0.5, 2.0):
+        for op in (lambda: x * bad, lambda: x + bad, lambda: x / bad,
+                   lambda: CTX.const(bad), lambda: CTX.monomial(m, bad)):
+            with pytest.raises(TypeError):
+                op()
+    p = Polynomial(CTX, {m: Fraction(4, 2), (0, 0, 0, 0): True,
+                         (0, 1, 0, 0): Fraction(1, 3)})
+    assert [type(c) for c in p.terms.values()] == [int, int, Fraction]
+    assert type((x * Fraction(1, 2) * 2).terms[m]) is int
+    assert type(p.constant_value()) is Fraction
+    assert type(CTX.zero().constant_value()) is Fraction
