@@ -112,23 +112,6 @@ class Derivation:
     def image_of(self, name: str) -> Polynomial:
         return self.images[self.ring.ctx.index(name)]
 
-    def scaled(self, c) -> "Derivation":
-        """c * self for a nonzero constant c.
-
-        Normal forms are linear, so the scaled images are still reduced and
-        still preserve the relations; nothing is reduced or checked again.
-        As (cD)^k = c^k D^k, every iterate of cD has the support of the
-        matching iterate of D: nilpotency orders, degrees and term counts
-        are those of self.
-        """
-        out = Derivation.__new__(Derivation)
-        out.ring = self.ring
-        out.images = tuple(
-            Polynomial(img.ctx, {m: v * c for m, v in img.terms.items()})
-            for img in self.images)
-        out._var_orders = None
-        return out
-
     # ------------------------------------------------ nilpotency and degree
 
     def variable_orders(self, bound: int = 256, term_guard: int | None = None,

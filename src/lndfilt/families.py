@@ -345,11 +345,15 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
         if key in seen_keys:
             return None
         scale = math.lcm(*(c.denominator for c in vec[:nimg_all]))
-        cleared = D.scaled(scale) if scale != 1 else D
+        cleared = D
+        if scale != 1:
+            cleared = Derivation(ring, [img * scale for img in D.images],
+                                 check=False, budget=budget)
         cert = cleared.is_locally_nilpotent(nilp_bound, term_guard, budget)
         if cert is None:
             result.rejected += 1
             return None
+        D._var_orders = cleared._var_orders  # a multiple has D's orders
         seen_keys.add(key)
         cls, factor = _classify_against_canonical(inst, D, image_degree_bound,
                                                   budget)

@@ -36,8 +36,11 @@ def test_summarise_canned_records():
     assert out["pairs"] == 3
     assert out["failed_ops"] == {"parent": [0, 0, 0], "change": [0, 0, 1]}
     ops = out["metrics"]["ops_per_s"]
-    assert ops["parent"] == {"median": 1.5, "q1": 1.25, "q3": 1.75}
-    assert ops["change"] == {"median": 3.0, "q1": 2.5, "q3": 3.5}
+    # quartiles as perfbench/steady.py computes them (exclusive method)
+    assert ops["parent"] == {"median": 1.5, "q1": 1.0, "q3": 2.0,
+                             "spread": pytest.approx(2 / 3)}
+    assert ops["change"] == {"median": 3.0, "q1": 2.0, "q3": 4.0,
+                             "spread": pytest.approx(2 / 3)}
     assert ops["ratio"] == 2.0
     assert ops["pairs_won"] == 2  # a tie in pair 1 is not a win
     assert ops["values"]["change"] == [3.0, 2.0, 4.0]

@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from lndfilt.derivations import Derivation
 from lndfilt.families import (PreconditionError, _quotient_by_linear_solve,
                               bounded_lnd_search, make_danielewski,
                               make_koras_russell2, make_new_family,
@@ -140,6 +141,21 @@ def test_bounded_search_danielewski():
     assert sources.count("canonical") == 1
     for c in res.candidates:
         assert c.certificate.max_order() == 2
+
+
+def test_search_candidates_keep_their_orders(monkeypatch):
+    # the search certifies a rational candidate on its denominator-cleared
+    # multiple; the orders found there must stay with the reported derivation
+    res = bounded_lnd_search(_dan2(), image_degree_bound=4, nilp_bound=20)
+    assert any(any(isinstance(c, Fraction) for img in cand.derivation.images
+                   for c in img.terms.values()) for cand in res.candidates)
+
+    def no_iteration(*args, **kwargs):
+        raise AssertionError("nilpotency orders were computed again")
+
+    monkeypatch.setattr(Derivation, "_deg_reduced", no_iteration)
+    for cand in res.candidates:
+        assert cand.derivation.variable_orders() == cand.certificate.orders
 
 
 def test_bounded_search_new_family():

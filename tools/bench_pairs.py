@@ -1,22 +1,24 @@
 """Alternating parent/change benchmark pairs, summarised into BENCH_<pr>.json.
 
     python3 tools/bench_pairs.py --parent ../parent --change . \\
-        --workloads search graded degree morph --seed 1 --pairs 5 \\
-        --out BENCH_8.json
+        --workloads search graded degree morph --seed 1 --out BENCH_8.json
 
 Each checkout is a directory holding `perfbench/run.py` and its own
 `src/`.  For every workload the script runs
 
-    python3 perfbench/run.py --workload W --seed S --seconds 25 --trace 0
+    python3 perfbench/run.py --workload W --seed S --seconds T --trace 0
 
-once per side and pair, in that side's directory.  The sides alternate and
-the order flips every pair (parent first in even pairs, change first in
-odd ones), so a host that drifts slowly in speed weighs on both sides
-alike.  The output holds, per workload and end-to-end metric, the median and
-quartiles of each side, the change/parent ratio of the medians and the
-number of pairs the change won (its value is better in the direction
-BENCHMARK.json gives); the failed-op counts of every run; the commits; and
-the Python version and CPU count of the machine.  Standard library only.
+once per side and pair (ten pairs unless --pairs says otherwise), in that
+side's directory, T being the `run_seconds` of the change checkout's
+BENCHMARK.json; a run that exits nonzero stops the script.  The sides
+alternate and the order flips every pair (parent first in even pairs,
+change first in odd ones), so a host that drifts slowly in speed weighs on
+both sides alike.  The output holds, per workload and end-to-end metric,
+the median and quartiles of each side (as `perfbench/steady.py` computes
+them), the change/parent ratio of the medians and the number of pairs the
+change won (its value is better in the direction BENCHMARK.json gives);
+the failed-op counts of every run; the commits; and the Python version
+and CPU count of the machine.  Standard library only.
 """
 
 from __future__ import annotations
@@ -25,10 +27,12 @@ import argparse
 import json
 import os
 import platform
-import statistics
 import subprocess
 import sys
 from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
+from steady import spread  # noqa: E402
 
 SIDES = ("parent", "change")
 
@@ -38,22 +42,16 @@ def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
            "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
+    if proc.returncode != 0:
+        raise SystemExit("%s in %s failed (exit %d):\n%s" % (
+            " ".join(cmd), checkout, proc.returncode, proc.stderr[-2000:]))
     lines = proc.stdout.strip().splitlines()
-    if not lines:
-        raise SystemExit("%s in %s printed nothing (exit %d): %s"
-                         % (" ".join(cmd), checkout, proc.returncode,
-                            proc.stderr.strip()[-500:]))
     result = json.loads(lines[-1])
     ident = next((json.loads(ln[len("identity: "):]) for ln in lines
                   if ln.startswith("identity: ")), {})
-    return {"exit": proc.returncode, "identity": ident,
+    return {"identity": ident,
             "attempted": result["attempted"], "failed": result["failed"],
             "metrics": {k: v["value"] for k, v in result["metrics"].items()}}
-
-
-def _spread(values):
-    q1, med, q3 = statistics.quantiles(values, n=4, method="inclusive")
-    return {"median": med, "q1": q1, "q3": q3}
 
 
 def summarise(records, spec) -> dict:
@@ -79,7 +77,7 @@ def summarise(records, spec) -> dict:
             higher = m["better"] == "higher"
             won = sum(1 for a, b in zip(vals["parent"], vals["change"])
                       if (b > a if higher else b < a))
-            entry = {side: _spread(vals[side]) for side in SIDES}
+            entry = {side: spread(vals[side]) for side in SIDES}
             entry.update(
                 ratio=entry["change"]["median"] / entry["parent"]["median"],
                 pairs_won=won, better=m["better"], bound=m["bound"],
@@ -102,21 +100,21 @@ def main(argv=None):
     ap.add_argument("--change", required=True, type=Path)
     ap.add_argument("--workloads", nargs="+", required=True)
     ap.add_argument("--seed", type=int, default=1)
-    ap.add_argument("--pairs", type=int, default=5)
-    ap.add_argument("--seconds", type=float, default=25)
+    ap.add_argument("--pairs", type=int, default=10)
     ap.add_argument("--out", required=True, type=Path)
     args = ap.parse_args(argv)
     if args.pairs < 2:
         ap.error("quartiles need at least 2 pairs")
     checkouts = {"parent": args.parent.resolve(), "change": args.change.resolve()}
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
+    seconds = spec["run_seconds"]
 
     records, commits = [], {}
     for workload in args.workloads:
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for side in order:
-                rec = run_once(checkouts[side], workload, args.seed, args.seconds)
+                rec = run_once(checkouts[side], workload, args.seed, seconds)
                 commits[side] = rec["identity"].get("commit")
                 rec.update(workload=workload, pair=pair, side=side)
                 records.append(rec)
@@ -126,7 +124,7 @@ def main(argv=None):
 
     report = {
         "command": "python3 perfbench/run.py --workload W --seed %d "
-                   "--seconds %g --trace 0" % (args.seed, args.seconds),
+                   "--seconds %g --trace 0" % (args.seed, seconds),
         "seed": args.seed,
         "commits": commits,
         "python": platform.python_version(),
