@@ -19,6 +19,7 @@ printed as p/q.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import shlex
 import sys
@@ -150,13 +151,14 @@ def cmd_family(session, args):
 def cmd_deg(session, args):
     inst = _resolve_instance(session, args)
     p = parse_polynomial(args.of, inst.ring.ctx, fold_case=True)
-    d = inst.derivation.deg(p, args.nilp_bound)
+    # without --nilp-bound, deg uses the a priori Leibniz bound
+    d = inst.derivation.deg(p, args.nilp_bound, Budget(args.gb_budget))
     _emit(args, {"of": args.of, "deg": _deg_repr(d)},
           ["deg(%s) = %s" % (args.of, _deg_repr(d))])
     return EXIT_OK
 
 
-def _custom_derivation(args):
+def _custom_derivation(args, budget):
     names = [nm.strip() for nm in args.ring.split(",") if nm.strip()]
     if not names:
         raise UsageError("--ring needs a comma separated variable list")
@@ -169,22 +171,23 @@ def _custom_derivation(args):
         raise UsageError("--images needs %d entries separated by ';'" % len(names))
     ring = RingPresentation(ctx, Ideal(ctx, rels))
     images = [parse_polynomial(t, ctx) for t in images_txt]
-    return Derivation(ring, images, check=True)
+    return Derivation(ring, images, check=True, budget=budget)
 
 
 def cmd_lnd_check(session, args):
+    budget = Budget(args.gb_budget)
     if args.ring or args.images:
         if not (args.ring and args.images):
             raise UsageError("custom mode needs both --ring and --images")
         try:
-            D = _custom_derivation(args)
+            D = _custom_derivation(args, budget)
         except NotWellDefined as e:
             _emit(args, {"well_defined": False, "reason": str(e)},
                   ["not a derivation of the quotient: %s" % e])
             return EXIT_NEGATIVE
     else:
         D = _resolve_instance(session, args).derivation
-    cert = D.is_locally_nilpotent(bound=args.nilp_bound)
+    cert = D.is_locally_nilpotent(bound=args.nilp_bound, budget=budget)
     if cert is None:
         _emit(args, {"well_defined": True, "locally_nilpotent": "unknown",
                      "bound": args.nilp_bound},
@@ -291,16 +294,18 @@ def cmd_auto(session, args):
                "new-family": build_auto_newfamily}.get(inst.family)
     if builder is None:
         raise PreconditionError("no automorphism family for %s" % inst.family)
+    budget = Budget(args.gb_budget)
     try:
-        alpha = builder(inst, data)
+        alpha = builder(inst, data, budget)
     except MorphismError as e:
         _emit(args, {"valid": False, "reason": str(e)},
               ["data does not define an automorphism: %s" % e])
         return EXIT_NEGATIVE
     images = {nm: str(alpha.image_of(nm)) for nm in inst.ring.ctx.names}
-    rep = verify_degree_preservation(alpha, inst.derivation, samples=10)
+    rep = verify_degree_preservation(alpha, inst.derivation, samples=10,
+                                     budget=budget)
     payload = {"valid": True, "images": images,
-               "inverse_verified": alpha.verify_inverse(),
+               "inverse_verified": alpha.verify_inverse(budget),
                "degree_preserved": rep["ok"]}
     lines = ["automorphism verified; inverse composes to the identity"]
     lines += ["  %s -> %s" % (nm, im) for nm, im in images.items()]
@@ -381,10 +386,10 @@ def cmd_script(session, args, parser):
 
 # ----------------------------------------------------------- wiring
 
-def _add_common(sub):
+def _add_common(sub, nilp_bound=64):
     sub.add_argument("--json", action="store_true",
                      help="machine readable output with sorted keys")
-    sub.add_argument("--nilp-bound", type=int, default=64,
+    sub.add_argument("--nilp-bound", type=int, default=nilp_bound,
                      help="iteration bound for nilpotency and degrees")
     sub.add_argument("--degree-bound", type=int, default=12,
                      help="degree bound for searches and probes")
@@ -416,7 +421,7 @@ def build_parser() -> _Parser:
     p = subs.add_parser("deg", help="degree of an element under the derivation")
     p.add_argument("--of", required=True, help="polynomial in the ring variables")
     _add_family_flags(p)
-    _add_common(p)
+    _add_common(p, nilp_bound=None)
     p.set_defaults(func=cmd_deg)
 
     p = subs.add_parser("lnd-check", help="well-definedness and nilpotency")
@@ -500,8 +505,15 @@ def _dispatch(session: Session, args, parser) -> int:
         return EXIT_USAGE
 
 
+@functools.cache
+def _parser() -> _Parser:
+    """The parser of this process, built on first use; parsing leaves it
+    unchanged, so every `main` call can share it."""
+    return build_parser()
+
+
 def main(argv=None) -> int:
-    parser = build_parser()
+    parser = _parser()
     try:
         args = parser.parse_args(argv)
     except UsageError as e:

@@ -11,13 +11,33 @@ kills every generator, Leibniz makes the whole algebra locally nilpotent.
 Degree of an element = number of applications before it vanishes; the zero
 element gets NEG_INF.  All iteration is bounded and a missed bound is an
 explicit verdict (BoundExceeded / None), never a silent wrong answer.
+
+Every nilpotency order and every degree comes from one loop,
+`Derivation._deg_reduced`, which runs on monomials packed into one int each
+(`ideals.Packing`): the order key's fields side by side, so that integer
+order is the ring's monomial order, a product is `+` and a divisibility
+test is one mask.  The loop packs the iterate, the images (pre-shifted by
+-e_i, so D(c x^m) adds m_i * c * (x^m + image term - e_i)) and the ring's
+reduced basis once per call, applies D straight into one dict and reduces
+with `nf_against`'s heap algorithm: the same pops, the same first divisor
+and one `Budget.step` per reduction.  It never unpacks, since its callers
+read only the degree.  The field width comes from an a priori bound, not
+from a check in the inner loop: one Leibniz step raises a field by at most
+the largest image field and one reduction by at most the largest basis
+field, so no field exceeds the largest input field plus (bound + 1) times
+the largest image field plus R times the largest basis field, where R is
+the number of reductions the budget still allows (bound + 1 fresh budgets
+when the caller passes none).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
+from heapq import heapify, heappop, heappush
 
-from .ideals import Ideal, MonomialOrder, normal_form
+from .ideals import (Budget, Ideal, MonomialOrder, Packing, _as_budget,
+                     normal_form)
 from .poly import NEG_INF, Context, Polynomial
 
 
@@ -139,17 +159,66 @@ class Derivation:
 
     def _deg_reduced(self, q: Polynomial, bound: int, term_guard: int | None,
                      budget=None):
+        """deg_D(q) for q in normal form, or None when the iterate survives
+        the bound or outgrows term_guard; see the module docstring."""
         if q.is_zero():
             return NEG_INF
+        if bound < 0:
+            return None
+        ring = self.ring
+        order = ring.order
+        rels = ring.relations
+        basis = rels.groebner(order, budget) if rels.gens else []
+        lms = rels.leading_monomials(order) if basis else []
+        # the reductions the budget allows; without a shared Budget each
+        # step reduces under a fresh one, as `apply` does
+        shared = isinstance(budget, Budget)
+        steps = budget.left if shared else (bound + 1) * _as_budget(budget).left
+        fmax = order.field_max
+        top = (fmax(q.terms)
+               + (bound + 1) * max((fmax(im.terms) for im in self.images),
+                                   default=0)
+               + max(steps, 1) * max((fmax(g.terms) for g in basis),
+                                     default=0))
+        pk = Packing(order, top)
+        pack, mask, guard = pk.pack, pk.mask, pk.guard
+        n = len(ring.ctx)
+        leibniz = []  # (shift of x_i's field, [(term of D(x_i) - e_i, c)])
+        for i, img in enumerate(self.images):
+            if img.terms:
+                ei = pack(tuple(int(j == i) for j in range(n)))
+                leibniz.append((pk.shifts[i], [(pack(m) - ei, c)
+                                                for m, c in img.terms.items()]))
+        red = []  # (lm, [(tail monomial - lm, -coefficient / lc)]), packed
+        for lm, g in zip(lms, basis):
+            plm = pack(lm)
+            lc = g.terms[lm]
+            red.append((plm, [(pack(m) - plm, -c if lc == 1 else Fraction(-c, lc))
+                              for m, c in g.terms.items() if m != lm]))
+        cur = {pack(m): c for m, c in q.terms.items()}
         for k in range(bound + 1):
-            q = self.apply(q, budget)
-            if q.is_zero():
+            out: dict = {}
+            get = out.get
+            for pm, c in cur.items():
+                for shift, terms in leibniz:
+                    e = (pm >> shift) & mask
+                    if e:
+                        ce = c * e
+                        for t, tc in terms:
+                            u = pm + t
+                            out[u] = get(u, 0) + ce * tc
+            out = {u: c for u, c in out.items() if c}  # drop cancelled terms
+            if red and out:
+                step = (budget if shared else _as_budget(budget)).step
+                out = _reduce_packed(out, red, guard, step)
+            if not out:
                 return k
-            if term_guard is not None and q.num_terms() > term_guard:
+            if term_guard is not None and len(out) > term_guard:
                 return None
+            cur = out
         return None
 
-    def default_bound(self, p: Polynomial) -> int:
+    def default_bound(self, p: Polynomial, budget=None) -> int:
         """A priori bound on deg_D(p) from the generators' nilpotency orders.
 
         By Leibniz, D^k of a monomial prod x_i^e_i is a sum of products of
@@ -158,25 +227,25 @@ class Derivation:
         monomial of any representative of p, so deg_D(p) is at most the
         largest such sum over p's terms.
         """
-        orders = self.variable_orders()
+        orders = self.variable_orders(budget=budget)
         if orders is None:
             raise BoundExceeded("no nilpotency certificate for default bound")
         ords = [orders[nm] for nm in self.ring.ctx.names]
         return max((sum(e * o for e, o in zip(m, ords)) for m in p.terms),
                    default=0)
 
-    def deg(self, p: Polynomial, bound: int | None = None):
+    def deg(self, p: Polynomial, bound: int | None = None, budget=None):
         """deg_D(p): number of applications before extinction; NEG_INF at 0.
 
         Raises BoundExceeded when the iterate survives the bound, which
         signals either non-nilpotency or a bound chosen too small.
         """
-        q = self.ring.nf(p)
+        q = self.ring.nf(p, budget)
         if q.is_zero():
             return NEG_INF
         if bound is None:
-            bound = self.default_bound(q)
-        d = self._deg_reduced(q, bound, None)
+            bound = self.default_bound(q, budget)
+        d = self._deg_reduced(q, bound, None, budget)
         if d is None:
             raise BoundExceeded("degree iteration exceeded bound %d" % bound)
         return d
@@ -193,6 +262,39 @@ class Derivation:
         ims = ", ".join("%s->%s" % (nm, im)
                         for nm, im in zip(self.ring.ctx.names, self.images))
         return "Derivation(%s)" % ims
+
+
+def _reduce_packed(work: dict, red, guard: int, step) -> dict:
+    """`nf_against` on packed monomials: work maps packed monomials to
+    coefficients and is consumed; returns the remainder."""
+    heap = [-u for u in work]
+    heapify(heap)
+    rem = {}
+    while heap:
+        m = -heappop(heap)
+        c = work.pop(m, 0)
+        if c == 0:
+            continue  # cancelled after it was pushed
+        for lm, tail in red:
+            if (m + guard - lm) & guard == guard:
+                break
+        else:
+            rem[m] = c
+            continue
+        step()
+        for t, tc in tail:
+            u = m + t
+            old = work.get(u)
+            if old is None:
+                work[u] = c * tc
+                heappush(heap, -u)
+            else:
+                nv = old + c * tc
+                if nv:
+                    work[u] = nv
+                else:
+                    del work[u]
+    return rem
 
 
 def conjugate(d: Derivation, alpha) -> Derivation:

@@ -18,7 +18,10 @@ next to it, so `normal_form` hands them to `nf_against` as well.
 
 Monomial orders: lex, graded lex, and weight-refined (weight first, lex on a
 declared variable permutation as tie-break; zero weights are allowed).  An
-order is described by data, so cached bases can be keyed by it.
+order is described by data, so cached bases can be keyed by it.  `Packing`
+maps the monomials of an order to ints whose integer order is the monomial
+order; the derivation iteration runs on those, while `nf_against` stays on
+exponent tuples and serves as its oracle.
 """
 
 from __future__ import annotations
@@ -110,6 +113,48 @@ class MonomialOrder:
 
     def __repr__(self):
         return "MonomialOrder%r" % (self.signature(),)
+
+    def field_max(self, monos) -> int:
+        """The largest field of the order keys of monos (0 when empty)."""
+        key = self.key
+        return max((max(key(m), default=0) for m in monos), default=0)
+
+
+class Packing:
+    """Monomials of one order packed into one int each.
+
+    Every field of `MonomialOrder.key` (the weighted degree, if any, then
+    the tie-break exponents) is linear in the exponents, so each field gets
+    `width` bits, the first field the most significant: the ints compare
+    as the monomials do, a product of monomials is a sum of ints and a
+    quotient a difference.  The top bit of each field is a guard bit.  While
+    every field stays below 2^(width-1), b divides a exactly when
+    ((a + guard) - b) & guard == guard, because no field of the difference
+    borrows.  `top` must bound every field the caller ever forms; nothing
+    checks that later.
+    """
+
+    __slots__ = ("key", "width", "mask", "guard", "shifts")
+
+    def __init__(self, order: MonomialOrder, top: int):
+        n = len(order.perm)
+        nfields = len(order.key((0,) * n))
+        w = max(top, 0).bit_length() + 1
+        self.key = order.key
+        self.width = w
+        self.mask = (1 << w) - 1
+        self.guard = sum(1 << (w * j + w - 1) for j in range(nfields))
+        # the tie-break fields come last, variable perm[j] in field j of
+        # them; (pm >> shifts[i]) & mask is the exponent of variable i
+        pos = {v: j for j, v in enumerate(order.perm)}
+        self.shifts = tuple(w * (n - 1 - pos[i]) for i in range(n))
+
+    def pack(self, m) -> int:
+        w = self.width
+        v = 0
+        for f in self.key(m):
+            v = (v << w) | f
+        return v
 
 
 def leading_monomial(p: Polynomial, order: MonomialOrder):

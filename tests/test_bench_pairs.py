@@ -11,6 +11,12 @@ BENCH_PAIRS_PY = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py
 SPEC = {"end_to_end": [
     {"name": "ops_per_s", "better": "higher", "bound": 0.25},
     {"name": "op_p50_s", "better": "lower", "bound": 0.25},
+], "per_layer": [
+    {"name": "ideals.reductions", "unit": "count", "better": "lower"},
+    {"name": "derivations.apply.calls", "unit": "count", "better": "lower"},
+    {"name": "derivations.apply.self_s", "unit": "s", "better": "lower"},
+    {"name": "families.search.accept_ratio", "unit": "ratio",
+     "better": "higher"},
 ]}
 
 
@@ -48,3 +54,21 @@ def test_summarise_canned_records():
     assert p50["pairs_won"] == 2  # lower is better here
     assert p50["change"]["median"] == pytest.approx(0.20)
     assert (p50["better"], p50["bound"]) == ("lower", 0.25)
+
+
+def test_traced_counts_lists_every_count_and_flags_differences():
+    metrics = {
+        "parent": {"ideals.reductions": 13385, "derivations.apply.calls": 1319,
+                   "derivations.apply.self_s": 0.5,
+                   "families.search.accept_ratio": 0.2},
+        "change": {"ideals.reductions": 13385, "derivations.apply.calls": 37,
+                   "derivations.apply.self_s": 0.1,
+                   "families.search.accept_ratio": 0.2},
+    }
+    out = load().traced_counts(metrics, SPEC)
+    # only the metrics whose unit is "count"
+    assert out["counts"] == {
+        "ideals.reductions": {"parent": 13385, "change": 13385},
+        "derivations.apply.calls": {"parent": 1319, "change": 37},
+    }
+    assert out["differ"] == ["derivations.apply.calls"]

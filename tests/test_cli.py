@@ -117,6 +117,42 @@ def test_search_honours_gb_budget(capsys, family):
     assert err == "budget exhausted: reduction budget exhausted\n"
 
 
+DAN2 = ["--family=danielewski", "--n=2", "--P=y^2"]
+# the nilpotency proof of this derivation takes two reductions (by z^2)
+STEPPED = ["lnd-check", "--ring=x,y,z", "--relations=z^2",
+           "--images=z;x^2 + x^3;0"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["deg", *DAN2, "--of=y^3*z^2"],
+    ["auto", *DAN2, "--lam=2", "--mu=4"],
+    STEPPED,
+])
+def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv):
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, [*argv, "--gb-budget=1"])
+    assert code == 4
+    assert out == ""
+    assert err == "budget exhausted: reduction budget exhausted\n"
+
+
+def test_deg_defaults_to_leibniz_bound(capsys):
+    code, out, _ = run(capsys, ["deg", *DAN2, "--of=z^40"])
+    assert (code, out) == (0, "deg(z^40) = 80\n")
+    # an explicit bound still wins
+    code, out, err = run(capsys, ["deg", *DAN2, "--of=z^40", "--nilp-bound=64"])
+    assert (code, out) == (4, "")
+    assert err == "budget exhausted: degree iteration exceeded bound 64\n"
+
+
+def test_parser_is_built_once(capsys, monkeypatch):
+    from lndfilt import cli
+    run(capsys, ["deg", *TOY, "--of", "y"])
+    monkeypatch.setattr(cli, "build_parser", None)  # a rebuild would fail
+    code, out, _ = run(capsys, ["deg", *TOY, "--of", "y*z"])
+    assert (code, out) == (0, "deg(y*z) = 6\n")
+
+
 def test_filtration_oracle_mismatch_exit_5(capsys, monkeypatch):
     true_deg = Derivation.deg
 

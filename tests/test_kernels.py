@@ -7,6 +7,10 @@ budget steps.  The `oracle_*` functions run the polynomial operations on
 term dicts whose coefficients are all `Fraction`; the operations on stored
 coefficients (`int` when integral, `Fraction` otherwise) must give the same
 terms in the same order, and store every coefficient in that form.
+`apply_oracle` is the earlier derivation iteration, one `Derivation.apply`
+(Leibniz on tuples, then `nf_against`) per step; the packed-monomial loop
+must agree with it on the degree or None verdict, on the nilpotency orders
+and on the number of budget steps, and raise where it raises.
 """
 
 from __future__ import annotations
@@ -16,10 +20,15 @@ from fractions import Fraction
 
 import pytest
 
-from lndfilt.ideals import (Budget, BudgetExhausted, MonomialOrder, buchberger,
-                            leading_monomial, nf_against)
+from lndfilt.cli import main
+from lndfilt.derivations import Derivation, RingPresentation
+from lndfilt.families import (make_danielewski, make_koras_russell2,
+                              make_new_family)
+from lndfilt.ideals import (Budget, BudgetExhausted, Ideal, MonomialOrder,
+                            Packing, buchberger, leading_monomial, nf_against)
 from lndfilt.parser import parse_polynomial
-from lndfilt.poly import Context, Polynomial, mono_div, mono_mul, random_polynomial
+from lndfilt.poly import (NEG_INF, Context, Polynomial, mono_div, mono_mul,
+                          random_polynomial)
 
 CTX = Context(("x", "y", "z", "w"))
 
@@ -284,3 +293,217 @@ def test_coefficient_contract():
     assert type((x * Fraction(1, 2) * 2).terms[m]) is int
     assert type(p.constant_value()) is Fraction
     assert type(CTX.zero().constant_value()) is Fraction
+
+
+# ------------------------------------------------ packed derivation iteration
+
+def test_packing_keeps_order_product_and_divisibility():
+    rng = random.Random(4646)
+    for _ in range(60):
+        order = random_order(rng)
+        monos = [tuple(rng.randint(0, 5) for _ in CTX.names) for _ in range(12)]
+        # products of two monomials must fit as well
+        pk = Packing(order, 2 * order.field_max(monos))
+        for a in monos:
+            for b in monos:
+                pa, pb = pk.pack(a), pk.pack(b)
+                assert (pa < pb) == (order.key(a) < order.key(b))
+                assert pa + pb == pk.pack(mono_mul(a, b))
+                divides = ((pa + pk.guard) - pb) & pk.guard == pk.guard
+                assert divides == (mono_div(a, b) is not None)
+            assert [(pk.pack(a) >> pk.shifts[i]) & pk.mask
+                    for i in range(len(a))] == list(a)
+
+
+def apply_oracle(D, q, bound, term_guard, budget):
+    """deg_D(q) by repeated `Derivation.apply`: tuples and `nf_against`."""
+    if q.is_zero():
+        return NEG_INF
+    for k in range(bound + 1):
+        q = D.apply(q, budget)
+        if q.is_zero():
+            return k
+        if term_guard is not None and q.num_terms() > term_guard:
+            return None
+    return None
+
+
+def counted_steps(monkeypatch):
+    calls = [0]
+    step = Budget.step
+
+    def counted(budget):
+        calls[0] += 1
+        step(budget)
+
+    monkeypatch.setattr(Budget, "step", counted)
+    return calls
+
+
+def run_both(D, q, bound, term_guard, make_budget, calls):
+    """(outcome, steps) of the packed loop and of the oracle; an outcome is
+    the verdict or the exception type."""
+    got = []
+    for path in (D._deg_reduced, lambda *a: apply_oracle(D, *a)):
+        calls[0] = 0
+        try:
+            out = path(q, bound, term_guard, make_budget())
+        except BudgetExhausted:
+            out = BudgetExhausted
+        got.append((out, calls[0]))
+    return got
+
+
+def check_agreement(D, q, bound, term_guard, calls):
+    """Same verdict and steps with fresh budgets and with a shared one; one
+    step short of what the iteration needs, both paths raise."""
+    packed, oracle = run_both(D, q, bound, term_guard, lambda: None, calls)
+    assert packed == oracle
+    big = 10 ** 6
+    packed, oracle = run_both(D, q, bound, term_guard, lambda: Budget(big),
+                              calls)
+    assert packed == oracle
+    verdict, steps = packed
+    if steps:
+        packed, oracle = run_both(D, q, bound, term_guard,
+                                  lambda: Budget(steps - 1), calls)
+        assert packed[0] is BudgetExhausted and oracle[0] is BudgetExhausted
+        assert packed == oracle
+    return verdict, steps
+
+
+XY, XS, XZT = Context(("x", "y")), Context(("x", "s")), Context(("x", "z", "t"))
+
+
+def family_derivations():
+    """The canonical derivations of the three families, plus multiples with
+    rational coefficients."""
+    insts = [make_danielewski(2, parse_polynomial("y^2", XY)),
+             make_danielewski(3, parse_polynomial("y^3 + x*y - 1", XY)),
+             make_koras_russell2(2, 2, 2, parse_polynomial("t^2", XZT)),
+             make_new_family(2, 1, parse_polynomial("s^2", XS),
+                             parse_polynomial("y^2", XY))]
+    out = []
+    for inst in insts:
+        D = inst.derivation
+        out.append(D)
+        out.append(Derivation(D.ring, [im * Fraction(2, 3) for im in D.images],
+                              check=False))
+    return out
+
+
+def reordered(D, order):
+    """D on the same relations, with normal forms for another order."""
+    ring = RingPresentation(D.ring.ctx, D.ring.relations, order)
+    return Derivation(ring, D.images)
+
+
+def orders_for(ctx, rng):
+    """lex, grlex and a weight order with a zero weight, on random
+    tie-breaks."""
+    n = len(ctx)
+    perm = list(range(n))
+    rng.shuffle(perm)
+    weights = [0] + [rng.randint(0, 3) for _ in range(n - 1)]
+    return [MonomialOrder.lex(n, perm), MonomialOrder.grlex(n, perm),
+            MonomialOrder.weight(weights, perm)]
+
+
+def custom_derivations():
+    ctx = Context(("x", "y", "z"))
+
+    def build(rels, images):
+        ring = RingPresentation(ctx, Ideal(ctx, [parse_polynomial(r, ctx)
+                                                 for r in rels]))
+        return Derivation(ring, [parse_polynomial(t, ctx) for t in images])
+
+    return [
+        build(["z^2"], ["z", "x^2 + x^3", "0"]),
+        build(["x*z - 2/3*y^2"], ["0", "x", "4/3*y"]),
+        build([], ["0", "x", "y^2 - 1/2*x"]),      # no relations at all
+        build([], ["y", "x", "0"]),                  # not nilpotent
+        build(["x*y - 1"], ["0", "0", "x + y"]),
+        # a two-element basis whose leading monomials x^2, y^2 both divide
+        # x^2*y^2; reducing by the first takes one step there, by the
+        # second two
+        build(["x^2", "y^2 - x"], ["0", "0", "x*y + x + y"]),
+    ]
+
+
+def probes(D, rng):
+    ctx = D.ring.ctx
+    out = [ctx.var(nm) for nm in ctx.names]
+    out.append(ctx.monomial([2] * len(ctx)))
+    while len(out) < len(ctx) + 5:
+        p = D.ring.nf(random_polynomial(ctx, rng, max_degree=3, max_terms=4))
+        if not p.is_zero():
+            out.append(p)
+    return out
+
+
+def test_packed_iteration_matches_apply_oracle(monkeypatch):
+    rng = random.Random(911)
+    calls = counted_steps(monkeypatch)
+    derivations = []
+    for D in family_derivations() + custom_derivations():
+        derivations.append(D)
+        derivations += [reordered(D, o) for o in orders_for(D.ring.ctx, rng)]
+    kinds = set()
+    verdicts = set()
+    steps_seen = 0
+    for D in derivations:
+        kinds.add(D.ring.order.kind)
+        for q in probes(D, rng):
+            verdict, steps = check_agreement(D, q, 40, None, calls)
+            verdicts.add(verdict is None)
+            steps_seen += steps
+            if verdict is not None and verdict > 0:
+                # one short of the degree, the bound trips on both paths
+                assert check_agreement(D, q, verdict - 1, None, calls)[0] is None
+                # a one-term guard gives the same verdict on both paths
+                check_agreement(D, q, 40, 1, calls)
+    assert kinds == {"lex", "grlex", "weight"}
+    assert verdicts == {True, False}
+    assert steps_seen > 300
+
+
+def test_term_guard_trips_on_both_paths(monkeypatch):
+    calls = counted_steps(monkeypatch)
+    D = custom_derivations()[3]  # x -> y, y -> x: never dies
+    p = parse_polynomial("(x + y + z)^3", D.ring.ctx)
+    assert check_agreement(D, p, 40, 3, calls) == (None, 0)
+    dan = family_derivations()[2]
+    q = parse_polynomial("y^3*z^4 + x*z", dan.ring.ctx)
+    verdict, steps = check_agreement(dan, q, 40, 2, calls)
+    assert verdict is None and steps > 0
+
+
+def test_nilpotency_orders_match_apply_oracle(monkeypatch):
+    rng = random.Random(77)
+    calls = counted_steps(monkeypatch)
+    for D in family_derivations() + custom_derivations():
+        for order in orders_for(D.ring.ctx, rng):
+            E = reordered(D, order)
+            ctx = E.ring.ctx
+            want = {}
+            calls[0] = 0
+            for nm in ctx.names:
+                d = apply_oracle(E, E.ring.nf(ctx.var(nm)), 30, None, None)
+                if d is None:
+                    want = None
+                    break
+                want[nm] = 0 if d == NEG_INF else d
+            oracle_steps = calls[0]
+            calls[0] = 0
+            fresh = Derivation(E.ring, E.images, check=False)
+            assert fresh.variable_orders(30) == want
+            assert calls[0] == oracle_steps
+
+
+def test_huge_exponent_keeps_exit_4(capsys):
+    # the field width follows the exponent, so a 32-bit field would overflow
+    code = main(["deg", "--family=danielewski", "--n=2", "--P=y^2",
+                 "--of=z^3000000000", "--nilp-bound=3"])
+    err = capsys.readouterr().err
+    assert code == 4
+    assert err == "budget exhausted: degree iteration exceeded bound 3\n"

@@ -10,15 +10,17 @@ Each checkout is a directory holding `perfbench/run.py` and its own
 
 once per side and pair (ten pairs unless --pairs says otherwise), in that
 side's directory, T being the `run_seconds` of the change checkout's
-BENCHMARK.json; a run that exits nonzero stops the script.  The sides
-alternate and the order flips every pair (parent first in even pairs,
-change first in odd ones), so a host that drifts slowly in speed weighs on
-both sides alike.  The output holds, per workload and end-to-end metric,
+BENCHMARK.json, and after the pairs one `--trace 1` run per side; a run
+that exits nonzero stops the script.  The sides alternate and the order
+flips every pair (parent first in even pairs, change first in odd ones),
+so a host that drifts slowly in speed weighs on both sides alike.  The output holds, per workload and end-to-end metric,
 the median and quartiles of each side (as `perfbench/steady.py` computes
 them), the change/parent ratio of the medians and the number of pairs the
 change won (its value is better in the direction BENCHMARK.json gives);
-the failed-op counts of every run; the commits; and the Python version
-and CPU count of the machine.  Standard library only.
+the failed-op counts of every run; every `count` metric of BENCHMARK.json
+from each side's traced run, with the names of the counts that differ;
+the commits; and the Python version and CPU count of the machine.
+Standard library only.
 """
 
 from __future__ import annotations
@@ -37,10 +39,12 @@ from steady import spread  # noqa: E402
 SIDES = ("parent", "change")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, seconds: float,
+             trace: int = 0) -> dict:
     """One benchmark run; its identity line and its final result line."""
     cmd = [sys.executable, "perfbench/run.py", "--workload", workload,
-           "--seed", str(seed), "--seconds", str(seconds), "--trace", "0"]
+           "--seed", str(seed), "--seconds", str(seconds),
+           "--trace", str(trace)]
     proc = subprocess.run(cmd, cwd=checkout, capture_output=True, text=True)
     if proc.returncode != 0:
         raise SystemExit("%s in %s failed (exit %d):\n%s" % (
@@ -94,6 +98,16 @@ def summarise(records, spec) -> dict:
     return out
 
 
+def traced_counts(metrics, spec) -> dict:
+    """Every count metric of `spec` per side, from the sides' traced run
+    metrics ({side: {name: value}}), and the names whose counts differ."""
+    names = [m["name"] for m in spec["per_layer"] if m["unit"] == "count"]
+    counts = {nm: {side: metrics[side][nm] for side in SIDES} for nm in names}
+    return {"counts": counts,
+            "differ": [nm for nm in names
+                       if counts[nm]["parent"] != counts[nm]["change"]]}
+
+
 def main(argv=None):
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--parent", required=True, type=Path)
@@ -109,7 +123,7 @@ def main(argv=None):
     spec = json.loads((checkouts["change"] / "BENCHMARK.json").read_text())
     seconds = spec["run_seconds"]
 
-    records, commits = [], {}
+    records, commits, traced = [], {}, {}
     for workload in args.workloads:
         for pair in range(args.pairs):
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
@@ -121,10 +135,17 @@ def main(argv=None):
                 print("%s pair %d %s: ops_per_s %.4g, failed %d" % (
                     workload, pair, side, rec["metrics"]["ops_per_s"],
                     rec["failed"]), file=sys.stderr)
+        traced[workload] = traced_counts(
+            {side: run_once(checkouts[side], workload, args.seed, seconds,
+                            trace=1)["metrics"] for side in SIDES}, spec)
+        print("%s traced counts differ: %s" % (
+            workload, ", ".join(traced[workload]["differ"]) or "none"),
+            file=sys.stderr)
 
     report = {
         "command": "python3 perfbench/run.py --workload W --seed %d "
-                   "--seconds %g --trace 0" % (args.seed, seconds),
+                   "--seconds %g --trace 0, then once per side with "
+                   "--trace 1" % (args.seed, seconds),
         "seed": args.seed,
         "commits": commits,
         "python": platform.python_version(),
@@ -132,6 +153,8 @@ def main(argv=None):
         "order": "parent first in even pairs, change first in odd pairs",
         "workloads": summarise(records, spec),
     }
+    for workload, counts in traced.items():
+        report["workloads"][workload]["traced"] = counts
     args.out.write_text(json.dumps(report, indent=1, sort_keys=True) + "\n")
     print("wrote %s" % args.out, file=sys.stderr)
     return 0
