@@ -12,6 +12,8 @@ current family persisting between lines:
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 precondition
 violation, 4 budget or iteration bound exhausted, 5 negative verdict
 (not nilpotent, improper, invalid automorphism data, not isomorphic).
+Each command, family construction included, draws every reduction step
+from one --gb-budget; each script line gets its own.
 Output is plain text, or stable sorted JSON under --json; rationals are
 printed as p/q.
 """
@@ -21,6 +23,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import shlex
 import sys
 from fractions import Fraction
@@ -152,13 +155,13 @@ def cmd_deg(session, args):
     inst = _resolve_instance(session, args)
     p = parse_polynomial(args.of, inst.ring.ctx, fold_case=True)
     # without --nilp-bound, deg uses the a priori Leibniz bound
-    d = inst.derivation.deg(p, args.nilp_bound, Budget(args.gb_budget))
+    d = inst.derivation.deg(p, args.nilp_bound)
     _emit(args, {"of": args.of, "deg": _deg_repr(d)},
           ["deg(%s) = %s" % (args.of, _deg_repr(d))])
     return EXIT_OK
 
 
-def _custom_derivation(args, budget):
+def _custom_derivation(args):
     names = [nm.strip() for nm in args.ring.split(",") if nm.strip()]
     if not names:
         raise UsageError("--ring needs a comma separated variable list")
@@ -171,23 +174,22 @@ def _custom_derivation(args, budget):
         raise UsageError("--images needs %d entries separated by ';'" % len(names))
     ring = RingPresentation(ctx, Ideal(ctx, rels))
     images = [parse_polynomial(t, ctx) for t in images_txt]
-    return Derivation(ring, images, check=True, budget=budget)
+    return Derivation(ring, images, check=True)
 
 
 def cmd_lnd_check(session, args):
-    budget = Budget(args.gb_budget)
     if args.ring or args.images:
         if not (args.ring and args.images):
             raise UsageError("custom mode needs both --ring and --images")
         try:
-            D = _custom_derivation(args, budget)
+            D = _custom_derivation(args)
         except NotWellDefined as e:
             _emit(args, {"well_defined": False, "reason": str(e)},
                   ["not a derivation of the quotient: %s" % e])
             return EXIT_NEGATIVE
     else:
         D = _resolve_instance(session, args).derivation
-    cert = D.is_locally_nilpotent(bound=args.nilp_bound, budget=budget)
+    cert = D.is_locally_nilpotent(bound=args.nilp_bound)
     if cert is None:
         _emit(args, {"well_defined": True, "locally_nilpotent": "unknown",
                      "bound": args.nilp_bound},
@@ -205,7 +207,7 @@ def cmd_lnd_check(session, args):
 def cmd_filtration(session, args):
     inst = _resolve_instance(session, args)
     fs = inst.filtration
-    gens = fs.candidate_layers(args.r, Budget(args.gb_budget))
+    gens = fs.candidate_layers(args.r)
     by_weight: dict = {}
     checked = 0
     for g in gens:
@@ -228,8 +230,7 @@ def cmd_filtration(session, args):
 def cmd_gr(session, args):
     inst = _resolve_instance(session, args)
     fs = inst.filtration
-    budget = Budget(args.gb_budget)
-    pr = fs.properness_check(budget=budget)
+    pr = fs.properness_check()
     payload = {"status": pr.status, "method": pr.method, "reason": pr.reason}
     if pr.status == "undecided":
         _emit(args, payload, ["properness undecided: %s" % pr.reason])
@@ -263,8 +264,7 @@ def cmd_gr(session, args):
 def cmd_search(session, args):
     inst = _resolve_instance(session, args)
     res = bounded_lnd_search(inst, image_degree_bound=args.degree_bound,
-                             nilp_bound=args.nilp_bound,
-                             budget=Budget(args.gb_budget))
+                             nilp_bound=args.nilp_bound)
     cands = [{"images": {nm: str(c.derivation.image_of(nm))
                          for nm in inst.ring.ctx.names},
               "classification": c.classification,
@@ -294,18 +294,16 @@ def cmd_auto(session, args):
                "new-family": build_auto_newfamily}.get(inst.family)
     if builder is None:
         raise PreconditionError("no automorphism family for %s" % inst.family)
-    budget = Budget(args.gb_budget)
     try:
-        alpha = builder(inst, data, budget)
+        alpha = builder(inst, data)
     except MorphismError as e:
         _emit(args, {"valid": False, "reason": str(e)},
               ["data does not define an automorphism: %s" % e])
         return EXIT_NEGATIVE
     images = {nm: str(alpha.image_of(nm)) for nm in inst.ring.ctx.names}
-    rep = verify_degree_preservation(alpha, inst.derivation, samples=10,
-                                     budget=budget)
+    rep = verify_degree_preservation(alpha, inst.derivation, samples=10)
     payload = {"valid": True, "images": images,
-               "inverse_verified": alpha.verify_inverse(budget),
+               "inverse_verified": alpha.verify_inverse(),
                "degree_preserved": rep["ok"]}
     lines = ["automorphism verified; inverse composes to the identity"]
     lines += ["  %s -> %s" % (nm, im) for nm, im in images.items()]
@@ -394,7 +392,7 @@ def _add_common(sub, nilp_bound=64):
     sub.add_argument("--degree-bound", type=int, default=12,
                      help="degree bound for searches and probes")
     sub.add_argument("--gb-budget", type=int, default=1000000,
-                     help="reduction step budget for basis computations")
+                     help="reduction steps allowed for the whole command")
 
 
 def _add_family_flags(sub, with_family=True):
@@ -479,9 +477,10 @@ def build_parser() -> _Parser:
 
 def _dispatch(session: Session, args, parser) -> int:
     try:
-        if args.func is cmd_script:
-            return cmd_script(session, args, parser)
-        return args.func(session, args)
+        with Budget(args.gb_budget):
+            if args.func is cmd_script:
+                return cmd_script(session, args, parser)
+            return args.func(session, args)
     except UsageError as e:
         print("usage error: %s" % e, file=sys.stderr)
         return EXIT_USAGE
@@ -523,7 +522,14 @@ def main(argv=None) -> int:
 
 
 def entry():
-    raise SystemExit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader left (`| head`); send the exit-time flush to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = EXIT_USAGE
+    raise SystemExit(code)
 
 
 if __name__ == "__main__":

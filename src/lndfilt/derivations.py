@@ -26,8 +26,9 @@ from a check in the inner loop: one Leibniz step raises a field by at most
 the largest image field and one reduction by at most the largest basis
 field, so no field exceeds the largest input field plus (bound + 1) times
 the largest image field plus R times the largest basis field, where R is
-the number of reductions the budget still allows (bound + 1 fresh budgets
-when the caller passes none).
+the number of reductions the active budget scope still allows (outside any
+scope each application reduces under a fresh budget, so R is bound + 1
+fresh budgets).
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 
-from .ideals import (Budget, Ideal, MonomialOrder, Packing, _as_budget,
+from .ideals import (Ideal, MonomialOrder, Packing, _budget, _steps_left,
                      normal_form)
 from .poly import NEG_INF, Context, Polynomial
 
@@ -62,16 +63,16 @@ class RingPresentation:
             raise ValueError("relations in wrong context")
         self.order = order if order is not None else MonomialOrder.grlex(len(ctx))
 
-    def nf(self, p: Polynomial, budget=None) -> Polynomial:
+    def nf(self, p: Polynomial) -> Polynomial:
         if not self.relations.gens:
             return p
-        return normal_form(p, self.relations, self.order, budget)
+        return normal_form(p, self.relations, self.order)
 
-    def eq(self, p: Polynomial, q: Polynomial, budget=None) -> bool:
-        return self.nf(p - q, budget).is_zero()
+    def eq(self, p: Polynomial, q: Polynomial) -> bool:
+        return self.nf(p - q).is_zero()
 
-    def is_zero(self, p: Polynomial, budget=None) -> bool:
-        return self.nf(p, budget).is_zero()
+    def is_zero(self, p: Polynomial) -> bool:
+        return self.nf(p).is_zero()
 
     def __repr__(self):
         return "RingPresentation(%r mod %d relations)" % (self.ctx, len(self.relations.gens))
@@ -92,16 +93,15 @@ class Derivation:
 
     __slots__ = ("ring", "images", "_var_orders")
 
-    def __init__(self, ring: RingPresentation, images, check: bool = True,
-                 budget=None):
+    def __init__(self, ring: RingPresentation, images, check: bool = True):
         if len(images) != len(ring.ctx):
             raise ValueError("need one image per generator")
         self.ring = ring
-        self.images = tuple(ring.nf(p, budget) for p in images)
+        self.images = tuple(ring.nf(p) for p in images)
         self._var_orders = None
         if check:
             for g in ring.relations.gens:
-                v = ring.nf(self._apply_free(g), budget)
+                v = ring.nf(self._apply_free(g))
                 if not v.is_zero():
                     raise NotWellDefined(
                         "derivation does not preserve the relation %s "
@@ -117,9 +117,9 @@ class Derivation:
                 out = out + d * img
         return out
 
-    def apply(self, p: Polynomial, budget=None) -> Polynomial:
+    def apply(self, p: Polynomial) -> Polynomial:
         """Leibniz extension then reduction to normal form."""
-        return self.ring.nf(self._apply_free(p), budget)
+        return self.ring.nf(self._apply_free(p))
 
     def iterate(self, p: Polynomial, k: int) -> Polynomial:
         q = self.ring.nf(p)
@@ -134,31 +134,28 @@ class Derivation:
 
     # ------------------------------------------------ nilpotency and degree
 
-    def variable_orders(self, bound: int = 256, term_guard: int | None = None,
-                        budget=None):
+    def variable_orders(self, bound: int = 256, term_guard: int | None = None):
         """Nilpotency order per generator, or None when the bound misses."""
-        if self._var_orders is not None:
-            return self._var_orders
+        orders = self._var_orders
+        if orders is not None:  # exact, so they answer any bound
+            return orders if max(orders.values(), default=0) <= bound else None
         orders = {}
         for nm in self.ring.ctx.names:
-            d = self._deg_reduced(self.ring.nf(self.ring.ctx.var(nm), budget),
-                                  bound, term_guard, budget)
+            d = self._deg_reduced(self.ring.nf(self.ring.ctx.var(nm)), bound, term_guard)
             if d is None:
                 return None
             orders[nm] = 0 if d == NEG_INF else d
         self._var_orders = orders
         return orders
 
-    def is_locally_nilpotent(self, bound: int = 256, term_guard: int | None = None,
-                             budget=None):
+    def is_locally_nilpotent(self, bound: int = 256, term_guard: int | None = None):
         """NilpotencyCertificate, or None as the no-within-bound verdict."""
-        orders = self.variable_orders(bound, term_guard, budget)
+        orders = self.variable_orders(bound, term_guard)
         if orders is None:
             return None
         return NilpotencyCertificate(orders, bound)
 
-    def _deg_reduced(self, q: Polynomial, bound: int, term_guard: int | None,
-                     budget=None):
+    def _deg_reduced(self, q: Polynomial, bound: int, term_guard: int | None):
         """deg_D(q) for q in normal form, or None when the iterate survives
         the bound or outgrows term_guard; see the module docstring."""
         if q.is_zero():
@@ -168,12 +165,9 @@ class Derivation:
         ring = self.ring
         order = ring.order
         rels = ring.relations
-        basis = rels.groebner(order, budget) if rels.gens else []
+        basis = rels.groebner(order) if rels.gens else []
         lms = rels.leading_monomials(order) if basis else []
-        # the reductions the budget allows; without a shared Budget each
-        # step reduces under a fresh one, as `apply` does
-        shared = isinstance(budget, Budget)
-        steps = budget.left if shared else (bound + 1) * _as_budget(budget).left
+        steps = _steps_left(bound + 1)  # one normal form per application
         fmax = order.field_max
         top = (fmax(q.terms)
                + (bound + 1) * max((fmax(im.terms) for im in self.images),
@@ -209,8 +203,7 @@ class Derivation:
                             out[u] = get(u, 0) + ce * tc
             out = {u: c for u, c in out.items() if c}  # drop cancelled terms
             if red and out:
-                step = (budget if shared else _as_budget(budget)).step
-                out = _reduce_packed(out, red, guard, step)
+                out = _reduce_packed(out, red, guard, _budget().step)
             if not out:
                 return k
             if term_guard is not None and len(out) > term_guard:
@@ -218,7 +211,7 @@ class Derivation:
             cur = out
         return None
 
-    def default_bound(self, p: Polynomial, budget=None) -> int:
+    def default_bound(self, p: Polynomial) -> int:
         """A priori bound on deg_D(p) from the generators' nilpotency orders.
 
         By Leibniz, D^k of a monomial prod x_i^e_i is a sum of products of
@@ -227,25 +220,25 @@ class Derivation:
         monomial of any representative of p, so deg_D(p) is at most the
         largest such sum over p's terms.
         """
-        orders = self.variable_orders(budget=budget)
+        orders = self.variable_orders()
         if orders is None:
             raise BoundExceeded("no nilpotency certificate for default bound")
         ords = [orders[nm] for nm in self.ring.ctx.names]
         return max((sum(e * o for e, o in zip(m, ords)) for m in p.terms),
                    default=0)
 
-    def deg(self, p: Polynomial, bound: int | None = None, budget=None):
+    def deg(self, p: Polynomial, bound: int | None = None):
         """deg_D(p): number of applications before extinction; NEG_INF at 0.
 
         Raises BoundExceeded when the iterate survives the bound, which
         signals either non-nilpotency or a bound chosen too small.
         """
-        q = self.ring.nf(p, budget)
+        q = self.ring.nf(p)
         if q.is_zero():
             return NEG_INF
         if bound is None:
-            bound = self.default_bound(q, budget)
-        d = self._deg_reduced(q, bound, None, budget)
+            bound = self.default_bound(q)
+        d = self._deg_reduced(q, bound, None)
         if d is None:
             raise BoundExceeded("degree iteration exceeded bound %d" % bound)
         return d

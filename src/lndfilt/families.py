@@ -281,7 +281,7 @@ def _monomials_up_to(ctx: Context, degree: int):
 
 def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
                        nilp_bound: int, samples: int = 5, seed: int = 3,
-                       term_guard: int = 300, budget=None) -> LndSearchResult:
+                       term_guard: int = 300) -> LndSearchResult:
     """Solve for all derivations with images of bounded degree, then filter
     by bounded nilpotency and classify against the canonical derivation.
 
@@ -293,8 +293,7 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
     Each test runs on the multiple of the candidate that clears the
     denominators of its image coefficients, which has the same nilpotency
     orders and iterates of the same sizes, so the iteration stays in
-    integers as far as the relations allow.  `budget` limits the reduction
-    steps of all the normal forms the search runs.
+    integers as far as the relations allow.
     """
     if image_degree_bound < 1 or nilp_bound < 1:
         raise PreconditionError("bounds must be at least 1")
@@ -331,7 +330,7 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
                 if c:
                     terms[mono] = c
             images.append(Polynomial(ctx, terms))
-        return Derivation(ring, images, check=True, budget=budget)
+        return Derivation(ring, images, check=True)
 
     result = LndSearchResult(solution_dimension=len(basis))
     seen_keys = set()
@@ -348,15 +347,14 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
         cleared = D
         if scale != 1:
             cleared = Derivation(ring, [img * scale for img in D.images],
-                                 check=False, budget=budget)
-        cert = cleared.is_locally_nilpotent(nilp_bound, term_guard, budget)
+                                 check=False)
+        cert = cleared.is_locally_nilpotent(nilp_bound, term_guard)
         if cert is None:
             result.rejected += 1
             return None
         D._var_orders = cleared._var_orders  # a multiple has D's orders
         seen_keys.add(key)
-        cls, factor = _classify_against_canonical(inst, D, image_degree_bound,
-                                                  budget)
+        cls, factor = _classify_against_canonical(inst, D, image_degree_bound)
         result.candidates.append(LndCandidate(D, cert, cls, factor, source))
         return D
 
@@ -378,21 +376,18 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
                         vec[i] += c * v
         consider(vec, "sample")
 
-    canonical_images = [ring.nf(inst.derivation.image_of(nm), budget)
-                        for nm in ctx.names]
+    canonical_images = [ring.nf(inst.derivation.image_of(nm)) for nm in ctx.names]
     if all(img.degree() <= image_degree_bound or img.is_zero()
            for img in canonical_images):
         have = any(
-            all(ring.eq(c.derivation.image_of(nm), inst.derivation.image_of(nm),
-                        budget)
+            all(ring.eq(c.derivation.image_of(nm), inst.derivation.image_of(nm))
                 for nm in ctx.names)
             for c in result.candidates)
         if not have:
-            cert = inst.derivation.is_locally_nilpotent(nilp_bound, term_guard,
-                                                        budget)
+            cert = inst.derivation.is_locally_nilpotent(nilp_bound, term_guard)
             if cert is not None:
                 cls, factor = _classify_against_canonical(
-                    inst, inst.derivation, image_degree_bound, budget)
+                    inst, inst.derivation, image_degree_bound)
                 result.candidates.append(LndCandidate(
                     inst.derivation, cert, cls, factor, "canonical"))
     else:
@@ -402,20 +397,19 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
 
 
 def _classify_against_canonical(inst: FamilyInstance, D: Derivation,
-                                degree_bound: int, budget=None):
+                                degree_bound: int):
     """multiple-of-canonical when D = f * canonical for one f in the kernel
     variables; returns (classification, f or None)."""
     ring = inst.ring
     ctx = ring.ctx
     for z in inst.kernel_gens:
-        if not ring.is_zero(D.apply(z, budget), budget):
+        if not ring.is_zero(D.apply(z)):
             return "other", None
-    target = ring.nf(D.apply(inst.slice_elem, budget), budget)
-    plinth = ring.nf(inst.plinth_gen, budget)
+    target = ring.nf(D.apply(inst.slice_elem))
+    plinth = ring.nf(inst.plinth_gen)
     f = exact_quotient(target, plinth)
     if f is None:
-        f = _quotient_by_linear_solve(inst, target, plinth, degree_bound,
-                                      budget)
+        f = _quotient_by_linear_solve(inst, target, plinth, degree_bound)
         if f is None:
             return "other", None
     kernel_names = {nm for g in inst.kernel_gens for nm in ctx.names
@@ -424,17 +418,16 @@ def _classify_against_canonical(inst: FamilyInstance, D: Derivation,
         if nm not in kernel_names and f.degree_in(nm) > 0:
             return "other", None
     for nm in ctx.names:
-        if not ring.is_zero(D.image_of(nm) - f * inst.derivation.image_of(nm),
-                            budget):
+        if not ring.is_zero(D.image_of(nm) - f * inst.derivation.image_of(nm)):
             return "other", None
     return "multiple-of-canonical", f
 
 
-def _quotient_by_linear_solve(inst, target, plinth, degree_bound, budget=None):
+def _quotient_by_linear_solve(inst, target, plinth, degree_bound):
     """f in the span of the kernel monomials of degree <= degree_bound with
     nf(f * plinth) = target, or None when there is none."""
     cand = _kernel_monomials(inst, degree_bound)
-    sol = solve_combination([inst.ring.nf(c * plinth, budget).terms
+    sol = solve_combination([inst.ring.nf(c * plinth).terms
                              for c in cand], target.terms)
     if sol is None:
         return None

@@ -218,21 +218,20 @@ class FiltrationSpec:
         """Induced filtration degree: weight of the minimal preimage."""
         return self.min_weight_nf(p).weighted_degree(self.omega)
 
-    def initial_ideal_hat(self, budget=None) -> Ideal:
+    def initial_ideal_hat(self) -> Ideal:
         if self._jhat is None:
             self._jhat = initial_ideal(
-                self.extended_ideal, self.omega, self.j_order.perm, budget)
+                self.extended_ideal, self.omega, self.j_order.perm)
         return self._jhat
 
     # ------------------------------------------------------------ properness
 
-    def properness_check(self, samples: int = 25, seed: int = 1123,
-                         budget=None) -> PropernessResult:
+    def properness_check(self, samples: int = 25, seed: int = 1123) -> PropernessResult:
         if self._properness is not None:
             return self._properness
         try:
-            jhat = self.initial_ideal_hat(budget)
-            cert = binomial_prime(jhat, self.j_order, budget)
+            jhat = self.initial_ideal_hat()
+            cert = binomial_prime(jhat, self.j_order)
         except BudgetExhausted as e:
             return PropernessResult("undecided", "binomial-prime", reason=str(e))
         if cert.status == "prime":
@@ -240,10 +239,10 @@ class FiltrationSpec:
                                    reason="initial ideal is prime",
                                    certificate=cert)
         elif cert.status == "not-prime":
-            witness = self._empirical_witness(samples, seed)
+            probe = self._empirical_probe(samples, seed)
             res = PropernessResult("improper", "binomial-prime",
                                    reason="initial ideal is not prime",
-                                   certificate=cert, witness=witness)
+                                   certificate=cert, witness=probe and probe[1])
         else:
             try:
                 res = self._empirical_route(samples, seed)
@@ -277,10 +276,6 @@ class FiltrationSpec:
         for nm, s in self.slice_adjoined:
             images[nm] = s
         return ext_poly.subs(images, self.ring.ctx)
-
-    def _empirical_witness(self, samples, seed):
-        probe = self._empirical_probe(samples, seed)
-        return probe[1] if probe is not None else None
 
     def _empirical_probe(self, samples, seed):
         """Return (reason, witness) on failure, None when all probes pass."""
@@ -324,15 +319,15 @@ class FiltrationSpec:
 
     # ------------------------------------------------------------ graded ring
 
-    def graded_presentation(self, budget=None) -> GradedPresentation:
+    def graded_presentation(self) -> GradedPresentation:
         if self._graded is not None:
             return self._graded
-        check = self.properness_check(budget=budget)
+        check = self.properness_check()
         if check.status != "proper":
             raise PreconditionError(
                 "graded presentation requires a proper filtration (%s: %s)"
                 % (check.status, check.reason))
-        jhat = self.initial_ideal_hat(budget)
+        jhat = self.initial_ideal_hat()
         ring = RingPresentation(self.ext_ctx, jhat, self.j_order)
         self._graded = GradedPresentation(ring, self.omega)
         return self._graded
@@ -349,16 +344,15 @@ class FiltrationSpec:
 
     # ------------------------------------------------------------ layers
 
-    def candidate_layers(self, r: int, budget=None):
+    def candidate_layers(self, r: int):
         """Deduplicated monomial generators of the layers up to weight r.
 
         Generators are monomials in the positive-weight variables; a
         monomial is dropped when its graded symbol visibly lies in the
         module generated (over the weight-zero variables) by an already
-        accepted generator of the same weight.  The budget limits the
-        initial ideal and the normal forms of the monomials.
+        accepted generator of the same weight.
         """
-        graded_nf = self._graded_nf_for_layers(budget)
+        graded_nf = self._graded_nf_for_layers()
         cands = []
         for expo, w in _bounded_exponents(self._positive_vars(), r):
             mono = self._monomial_from(expo)
@@ -396,12 +390,12 @@ class FiltrationSpec:
             accepted.append(LayerGenerator(w, mono, canon))
         return accepted
 
-    def _graded_nf_for_layers(self, budget):
-        jhat = self.initial_ideal_hat(budget)
+    def _graded_nf_for_layers(self):
+        jhat = self.initial_ideal_hat()
         graded_ring = RingPresentation(self.ext_ctx, jhat, self.j_order)
 
         def graded_nf(mono):
-            q = normal_form(mono, self.extended_ideal, self.j_order, budget)
+            q = normal_form(mono, self.extended_ideal, self.j_order)
             if q.is_zero():
                 return q
             return graded_ring.nf(q.top_form(self.omega))

@@ -1,9 +1,14 @@
 """Groebner bases over Q and the ideal operations built on them.
 
 Buchberger with the normal selection strategy (no sugar), full reduction and
-final autoreduction.  A global step budget bounds the number of single-term
+final autoreduction.  A step budget bounds the number of single-term
 reductions; hitting it raises BudgetExhausted, so a too-small budget can only
 ever produce an explicit failure, never a wrong basis.
+
+The budget is ambient: inside `with Budget(n):` (a `contextvars` slot) every
+reduction, in `nf_against`, `buchberger` or the derivation iteration, draws
+from that one budget; outside any scope each `nf_against` and `buchberger`
+call gets a fresh `Budget()`.  No function takes a budget argument.
 
 Reduction is heap-ordered (Monagan and Pearce, "Sparse polynomial division
 using a heap", JSC 46, 2011): `nf_against` computes a monomial's order key
@@ -26,6 +31,7 @@ exponent tuples and serves as its oracle.
 
 from __future__ import annotations
 
+from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
@@ -42,23 +48,40 @@ class BudgetExhausted(RuntimeError):
 
 
 class Budget:
-    __slots__ = ("left",)
+    """Reduction steps left; `with Budget(n):` makes it the active scope."""
+
+    __slots__ = ("left", "_tokens")
 
     def __init__(self, steps: int = DEFAULT_BUDGET):
         self.left = int(steps)
+        self._tokens = []  # one per open `with`, so scopes may nest
 
     def step(self):
         self.left -= 1
         if self.left < 0:
             raise BudgetExhausted("reduction budget exhausted")
 
+    def __enter__(self):
+        self._tokens.append(_SCOPE.set(self))
+        return self
 
-def _as_budget(b) -> Budget:
-    if b is None:
-        return Budget()
-    if isinstance(b, Budget):
-        return b
-    return Budget(b)
+    def __exit__(self, *exc):
+        _SCOPE.reset(self._tokens.pop())
+
+
+_SCOPE: ContextVar[Budget | None] = ContextVar("lndfilt_budget", default=None)
+
+
+def _budget() -> Budget:
+    """The active scope's budget, or a fresh one outside any scope."""
+    return _SCOPE.get() or Budget()
+
+
+def _steps_left(calls: int) -> int:
+    """Reductions the active scope still allows; outside any scope, those
+    of `calls` fresh budgets, one per normal form."""
+    b = _SCOPE.get()
+    return calls * DEFAULT_BUDGET if b is None else b.left
 
 
 class MonomialOrder:
@@ -213,10 +236,10 @@ class Ideal:
     def __repr__(self):
         return "Ideal(%s)" % "; ".join(str(g) for g in self.gens)
 
-    def groebner(self, order: MonomialOrder, budget=None):
+    def groebner(self, order: MonomialOrder):
         sig = order.signature()
         if sig not in self._gb:
-            self.cache_groebner(order, buchberger(self.gens, order, budget))
+            self.cache_groebner(order, buchberger(self.gens, order))
         return self._gb[sig]
 
     def leading_monomials(self, order: MonomialOrder):
@@ -229,7 +252,7 @@ class Ideal:
         self._lms[sig] = [leading_monomial(g, order) for g in basis]
 
 
-def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None,
+def nf_against(p: Polynomial, basis, order: MonomialOrder,
                lms=None) -> Polynomial:
     """Full normal form of p against a list of polynomials.
 
@@ -238,7 +261,7 @@ def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None,
     it, and `rem` receives the irreducible ones in descending order.  `lms`
     are the basis elements' leading monomials when the caller has them.
     """
-    budget = _as_budget(budget)
+    step = _budget().step
     if lms is None:
         lms = [leading_monomial(g, order) for g in basis]
     lead = list(zip(lms, basis))
@@ -261,7 +284,7 @@ def nf_against(p: Polynomial, basis, order: MonomialOrder, budget=None,
         if hit is None:
             rem[m] = c
             continue
-        budget.step()
+        step()
         q, lm, g = hit
         lc = g.terms[lm]
         fac = c if lc == 1 else Fraction(c, lc)
@@ -293,36 +316,37 @@ def _spoly(f: Polynomial, mf, g: Polynomial, mg) -> Polynomial:
     return tf * f - tg * g
 
 
-def buchberger(gens, order: MonomialOrder, budget=None):
-    """Reduced Groebner basis (monic, autoreduced, deterministically sorted)."""
-    budget = _as_budget(budget)
-    basis = [monic(g, order) for g in gens if not g.is_zero()]
-    if not basis:
-        return []
-    lms = [leading_monomial(g, order) for g in basis]  # parallel to basis
+def buchberger(gens, order: MonomialOrder):
+    """Reduced Groebner basis (monic, autoreduced, deterministically sorted).
 
-    def pair(i, j):
-        return order.key(mono_lcm(lms[i], lms[j])), i, j
+    Outside any scope one fresh budget covers the whole computation."""
+    with _budget():
+        basis = [monic(g, order) for g in gens if not g.is_zero()]
+        if not basis:
+            return []
+        lms = [leading_monomial(g, order) for g in basis]  # parallel to basis
 
-    pairs = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
-    while pairs:
-        # normal strategy: smallest lcm first, the earliest pair among equals
-        best = min(range(len(pairs)), key=lambda k: pairs[k][0])
-        _, i, j = pairs.pop(best)
-        mi, mj = lms[i], lms[j]
-        if mono_lcm(mi, mj) == mono_mul(mi, mj):
-            continue  # coprime leading terms, S-poly reduces to zero
-        r = nf_against(_spoly(basis[i], mi, basis[j], mj), basis, order,
-                       budget, lms)
-        if not r.is_zero():
-            r = monic(r, order)
-            basis.append(r)
-            lms.append(leading_monomial(r, order))
-            pairs.extend(pair(k, len(basis) - 1) for k in range(len(basis) - 1))
-    return _autoreduce(basis, order, budget)
+        def pair(i, j):
+            return order.key(mono_lcm(lms[i], lms[j])), i, j
+
+        pairs = [pair(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))]
+        while pairs:
+            # normal strategy: smallest lcm first, the earliest pair among equals
+            best = min(range(len(pairs)), key=lambda k: pairs[k][0])
+            _, i, j = pairs.pop(best)
+            mi, mj = lms[i], lms[j]
+            if mono_lcm(mi, mj) == mono_mul(mi, mj):
+                continue  # coprime leading terms, S-poly reduces to zero
+            r = nf_against(_spoly(basis[i], mi, basis[j], mj), basis, order, lms)
+            if not r.is_zero():
+                r = monic(r, order)
+                basis.append(r)
+                lms.append(leading_monomial(r, order))
+                pairs.extend(pair(k, len(basis) - 1) for k in range(len(basis) - 1))
+        return _autoreduce(basis, order)
 
 
-def _autoreduce(basis, order, budget):
+def _autoreduce(basis, order):
     # drop redundant leading terms first, smallest leading monomial first
     leads = sorted(((leading_monomial(g, order), g) for g in basis),
                    key=lambda mg: order.key(mg[0]))
@@ -339,8 +363,7 @@ def _autoreduce(basis, order, budget):
         changed = False
         for i in range(len(kept)):
             others = kept[:i] + kept[i + 1:]
-            r = (nf_against(kept[i], others, order, budget,
-                            kept_lms[:i] + kept_lms[i + 1:])
+            r = (nf_against(kept[i], others, order, kept_lms[:i] + kept_lms[i + 1:])
                  if others else kept[i])
             if r.is_zero():
                 kept.pop(i)
@@ -354,30 +377,30 @@ def _autoreduce(basis, order, budget):
     return kept
 
 
-def normal_form(p: Polynomial, ideal: Ideal, order: MonomialOrder, budget=None) -> Polynomial:
+def normal_form(p: Polynomial, ideal: Ideal, order: MonomialOrder) -> Polynomial:
     """Canonical representative of p modulo the ideal, for the given order."""
-    gb = ideal.groebner(order, budget)
+    gb = ideal.groebner(order)
     if not gb:
         return p
-    return nf_against(p, gb, order, budget, ideal.leading_monomials(order))
+    return nf_against(p, gb, order, ideal.leading_monomials(order))
 
 
-def member(p: Polynomial, ideal: Ideal, order: MonomialOrder | None = None, budget=None) -> bool:
+def member(p: Polynomial, ideal: Ideal, order: MonomialOrder | None = None) -> bool:
     if order is None:
         order = MonomialOrder.grlex(len(ideal.ctx))
-    return normal_form(p, ideal, order, budget).is_zero()
+    return normal_form(p, ideal, order).is_zero()
 
 
-def ideal_equal(a: Ideal, b: Ideal, budget=None) -> bool:
+def ideal_equal(a: Ideal, b: Ideal) -> bool:
     """Mutual membership of generators."""
     if a.ctx != b.ctx:
         return False
     order = MonomialOrder.grlex(len(a.ctx))
-    return (all(member(g, b, order, budget) for g in a.gens)
-            and all(member(g, a, order, budget) for g in b.gens))
+    return (all(member(g, b, order) for g in a.gens)
+            and all(member(g, a, order) for g in b.gens))
 
 
-def eliminate(ideal: Ideal, drop: Sequence[str], budget=None) -> Ideal:
+def eliminate(ideal: Ideal, drop: Sequence[str]) -> Ideal:
     """Generators of (ideal intersect subring without the dropped variables).
 
     Uses a lex order with the dropped block in front, which has the
@@ -390,7 +413,7 @@ def eliminate(ideal: Ideal, drop: Sequence[str], budget=None) -> Ideal:
     drop_idx = [ctx.index(nm) for nm in drop]
     rest_idx = [i for i in range(len(ctx)) if i not in set(drop_idx)]
     order = MonomialOrder.lex(len(ctx), perm=drop_idx + rest_idx)
-    gb = ideal.groebner(order, budget)
+    gb = ideal.groebner(order)
     small = ctx.without(drop)
     kept = []
     for g in gb:
@@ -399,7 +422,7 @@ def eliminate(ideal: Ideal, drop: Sequence[str], budget=None) -> Ideal:
     return Ideal(small, kept)
 
 
-def saturate(ideal: Ideal, f: Polynomial, budget=None) -> Ideal:
+def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
     """ideal : f^infinity, via the usual 1 - t*f trick and elimination."""
     ctx = ideal.ctx
     tname = "_t"
@@ -408,16 +431,16 @@ def saturate(ideal: Ideal, f: Polynomial, budget=None) -> Ideal:
     ext = Context((tname,) + ctx.names)
     gens = [g.lift(ext) for g in ideal.gens]
     gens.append(ext.one() - ext.var(tname) * f.lift(ext))
-    out = eliminate(Ideal(ext, gens), [tname], budget)
+    out = eliminate(Ideal(ext, gens), [tname])
     return Ideal(ctx, [g.restrict(ctx) for g in out.gens])
 
 
-def initial_ideal(ideal: Ideal, w: Sequence[int], perm=None, budget=None) -> Ideal:
+def initial_ideal(ideal: Ideal, w: Sequence[int], perm=None) -> Ideal:
     """Ideal of w-top forms, computed from a Groebner basis for a
     w-refined order.  The top forms of that basis are again a reduced
     Groebner basis (same leading terms), so it is cached on the result."""
     order = MonomialOrder.weight(w, perm)
-    gb = ideal.groebner(order, budget)
+    gb = ideal.groebner(order)
     tops = [g.top_form(w) for g in gb]
     out = Ideal(ideal.ctx, tops)
     out.cache_groebner(order, tops)
@@ -444,7 +467,7 @@ class BinomialPrimality:
         return self.status == "prime"
 
 
-def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None, budget=None) -> BinomialPrimality:
+def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None) -> BinomialPrimality:
     """Decide primality for pure-difference binomial ideals.
 
     Route: reduced basis must consist of differences of two monomials with
@@ -456,7 +479,7 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None, budget=None
     """
     if order is None:
         order = MonomialOrder.grlex(len(ideal.ctx))
-    gb = ideal.groebner(order, budget)
+    gb = ideal.groebner(order)
     if not gb:
         return BinomialPrimality("prime", "zero ideal", saturation_certified=True)
     rows = []
@@ -469,8 +492,8 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None, budget=None
             return BinomialPrimality(
                 "inapplicable", "generator %s is not a pure difference" % g)
         rows.append([a - b for a, b in zip(m1, m2)])
-    sat = saturate(ideal, product_of_variables(ideal.ctx), budget)
-    if not ideal_equal(sat, ideal, budget):
+    sat = saturate(ideal, product_of_variables(ideal.ctx))
+    if not ideal_equal(sat, ideal):
         return BinomialPrimality(
             "inapplicable", "not saturated with respect to the variables",
             lattice_rows=rows)

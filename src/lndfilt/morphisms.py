@@ -48,57 +48,51 @@ class RingMorphism:
 
     def __init__(self, source: RingPresentation, target: RingPresentation,
                  images: dict, inverse: "RingMorphism | None" = None,
-                 check: bool = True, budget=None):
+                 check: bool = True):
         self.source = source
         self.target = target
-        self.images = {nm: target.nf(images[nm], budget)
-                       for nm in source.ctx.names}
+        self.images = {nm: target.nf(images[nm]) for nm in source.ctx.names}
         self.inverse = inverse
-        if check and not self.check(budget):
+        if check and not self.check():
             raise MorphismError("a defining relation is not preserved")
 
     def image_of(self, name: str) -> Polynomial:
         return self.images[name]
 
-    def apply(self, p: Polynomial, budget=None) -> Polynomial:
-        return self.target.nf(p.subs(self.images, self.target.ctx), budget)
+    def apply(self, p: Polynomial) -> Polynomial:
+        return self.target.nf(p.subs(self.images, self.target.ctx))
 
-    def check(self, budget=None) -> bool:
-        return all(self.target.is_zero(g.subs(self.images, self.target.ctx),
-                                       budget)
+    def check(self) -> bool:
+        return all(self.target.is_zero(g.subs(self.images, self.target.ctx))
                    for g in self.source.relations.gens)
 
-    def compose(self, inner: "RingMorphism", budget=None) -> "RingMorphism":
+    def compose(self, inner: "RingMorphism") -> "RingMorphism":
         """self after inner; inverses chain when both are present."""
         if inner.target is not self.source and \
                 inner.target.ctx.names != self.source.ctx.names:
             raise MorphismError("composition contexts do not line up")
-        images = {nm: self.apply(inner.images[nm], budget)
-                  for nm in inner.source.ctx.names}
-        out = RingMorphism(inner.source, self.target, images, check=False,
-                           budget=budget)
+        images = {nm: self.apply(inner.images[nm]) for nm in inner.source.ctx.names}
+        out = RingMorphism(inner.source, self.target, images, check=False)
         if self.inverse is not None and inner.inverse is not None:
-            inv_images = {nm: inner.inverse.apply(self.inverse.images[nm],
-                                                  budget)
+            inv_images = {nm: inner.inverse.apply(self.inverse.images[nm])
                           for nm in self.target.ctx.names}
-            inv = RingMorphism(self.target, inner.source, inv_images,
-                               check=False, budget=budget)
+            inv = RingMorphism(self.target, inner.source, inv_images, check=False)
             out.inverse = inv
             inv.inverse = out
         return out
 
-    def is_identity(self, budget=None) -> bool:
+    def is_identity(self) -> bool:
         if self.source.ctx.names != self.target.ctx.names:
             return False
-        return all(self.target.eq(img, self.target.ctx.var(nm), budget)
+        return all(self.target.eq(img, self.target.ctx.var(nm))
                    for nm, img in self.images.items())
 
-    def verify_inverse(self, budget=None) -> bool:
+    def verify_inverse(self) -> bool:
         if self.inverse is None:
             return False
-        back = self.inverse.compose(self, budget)
-        forth = self.compose(self.inverse, budget)
-        return back.is_identity(budget) and forth.is_identity(budget)
+        back = self.inverse.compose(self)
+        forth = self.compose(self.inverse)
+        return back.is_identity() and forth.is_identity()
 
     def __repr__(self):
         body = ", ".join("%s -> %s" % (nm, img)
@@ -156,7 +150,7 @@ def _subleading_coefficient(P: Polynomial, main: str, top: int) -> Polynomial:
     return P.coeffs_in(main).get(top - 1, P.ctx.zero())
 
 
-def normalize_subleading(inst: FamilyInstance, budget=None):
+def normalize_subleading(inst: FamilyInstance):
     """Translate y so the coefficient of y^(m-1) in P vanishes.
 
     Returns (instance, forward, backward); forward maps the given instance
@@ -178,39 +172,38 @@ def normalize_subleading(inst: FamilyInstance, budget=None):
     y = ctx.var("y")
     fwd = RingMorphism(inst.ring, inst2.ring,
                        {"x": ctx.var("x"), "y": y + shift.lift(ctx),
-                        "z": ctx.var("z")}, budget=budget)
+                        "z": ctx.var("z")})
     back = RingMorphism(inst2.ring, inst.ring,
                         {"x": ctx.var("x"), "y": y - shift.lift(ctx),
-                         "z": ctx.var("z")}, budget=budget)
+                         "z": ctx.var("z")})
     fwd.inverse = back
     back.inverse = fwd
-    if not fwd.verify_inverse(budget):
+    if not fwd.verify_inverse():
         raise MorphismError("internal: translation maps fail to invert")
     return inst2, fwd, back
 
 
 # ------------------------------------------------------------ x^n z = P(x,y)
 
-def build_auto_danielewski(inst: FamilyInstance, data: AutomorphismData,
-                           budget=None) -> RingMorphism:
+def build_auto_danielewski(inst: FamilyInstance,
+                           data: AutomorphismData) -> RingMorphism:
     """Automorphism (x, y, z) -> (lam x, mu y + x^n a(x), ...) when the
     coefficient congruences allow it; the z-image is produced by exact
     division, and the inverse is built from (1/lam, 1/mu, -a(x/lam)/(mu lam^n))
     and verified by composition."""
     if inst.family != "danielewski":
         raise PreconditionError("expects an x^n z = P(x,y) instance")
-    norm, fwd, back = normalize_subleading(inst, budget)
+    norm, fwd, back = normalize_subleading(inst)
     if norm is not inst:
-        alpha = _auto_danielewski_normalized(norm, data, budget=budget)
-        out = back.compose(alpha.compose(fwd, budget), budget)
-        if not out.verify_inverse(budget):
+        alpha = _auto_danielewski_normalized(norm, data)
+        out = back.compose(alpha.compose(fwd))
+        if not out.verify_inverse():
             raise MorphismError("internal: conjugated automorphism broke")
         return out
-    return _auto_danielewski_normalized(inst, data, budget=budget)
+    return _auto_danielewski_normalized(inst, data)
 
 
-def _auto_danielewski_normalized(inst, data, with_inverse: bool = True,
-                                 budget=None):
+def _auto_danielewski_normalized(inst, data, with_inverse: bool = True):
     P, n, m = inst.params["P"], inst.params["n"], inst.params["m"]
     lam, mu, a = data.lam, data.mu, data.a
     _coefficient_congruences(P, "y", m, n, lam, mu)
@@ -229,29 +222,28 @@ def _auto_danielewski_normalized(inst, data, with_inverse: bool = True,
     rel = inst.relation()
     if rel.subs(images, ctx) != rel * mu ** m:
         raise MorphismError("internal: relation is not scaled exactly")
-    alpha = RingMorphism(inst.ring, inst.ring, images, budget=budget)
+    alpha = RingMorphism(inst.ring, inst.ring, images)
     if with_inverse:
         inv_a = _scaled_x(a, 1 / lam, a.ctx) * (Fraction(-1) / (mu * lam ** n))
         inv = _auto_danielewski_normalized(
-            inst, AutomorphismData(1 / lam, 1 / mu, inv_a), with_inverse=False,
-            budget=budget)
+            inst, AutomorphismData(1 / lam, 1 / mu, inv_a), with_inverse=False)
         alpha.inverse = inv
         inv.inverse = alpha
-        if not alpha.verify_inverse(budget):
+        if not alpha.verify_inverse():
             raise MorphismError("internal: inverse fails to compose to id")
     return alpha
 
 
 # ------------------------------------------------------ x^n y = P(x, s) rings
 
-def build_auto_newfamily(inst: FamilyInstance, data: AutomorphismData,
-                         budget=None) -> RingMorphism:
+def build_auto_newfamily(inst: FamilyInstance,
+                         data: AutomorphismData) -> RingMorphism:
     """Automorphism scaling x by lam and the slice by mu, for instances with
     Q = y^m and no s^(d-1) term in P; needs mu^(dm) = mu lam^(nm)."""
     if inst.family != "new-family":
         raise PreconditionError("expects an x^n y = P(x,s) instance")
     _check_newfamily_shape(inst)
-    return _auto_newfamily(inst, data, budget=budget)
+    return _auto_newfamily(inst, data)
 
 
 def _check_newfamily_shape(inst):
@@ -266,7 +258,7 @@ def _check_newfamily_shape(inst):
             "(no slice translation is available to arrange it)" % (d - 1))
 
 
-def _auto_newfamily(inst, data, with_inverse: bool = True, budget=None):
+def _auto_newfamily(inst, data, with_inverse: bool = True):
     P = inst.params["P"]
     n, e = inst.params["n"], inst.params["e"]
     d, m = inst.params["d"], inst.params["m"]
@@ -298,16 +290,15 @@ def _auto_newfamily(inst, data, with_inverse: bool = True, budget=None):
     rel = inst.relation()
     if rel.subs(images, ctx) != rel * mu ** d:
         raise MorphismError("internal: relation is not scaled exactly")
-    alpha = RingMorphism(inst.ring, inst.ring, images, budget=budget)
+    alpha = RingMorphism(inst.ring, inst.ring, images)
     if with_inverse:
         inv_a = _scaled_x(a, 1 / lam, a.ctx) \
             * (Fraction(-1) / (mu * lam ** (n + e)))
         inv = _auto_newfamily(
-            inst, AutomorphismData(1 / lam, 1 / mu, inv_a), with_inverse=False,
-            budget=budget)
+            inst, AutomorphismData(1 / lam, 1 / mu, inv_a), with_inverse=False)
         alpha.inverse = inv
         inv.inverse = alpha
-        if not alpha.verify_inverse(budget):
+        if not alpha.verify_inverse():
             raise MorphismError("internal: inverse fails to compose to id")
     return alpha
 
@@ -473,8 +464,7 @@ def _iso_witness(norm1, norm2, lam, mu) -> RingMorphism:
 
 def verify_degree_preservation(alpha: RingMorphism, derivation,
                                samples: int = 20, seed: int = 11,
-                               max_degree: int = 3, max_terms: int = 3,
-                               budget=None) -> dict:
+                               max_degree: int = 3, max_terms: int = 3) -> dict:
     """deg(alpha(b)) = deg(b) on random b, plus the ring generators."""
     import random as _random
     ring = alpha.source
@@ -483,11 +473,11 @@ def verify_degree_preservation(alpha: RingMorphism, derivation,
     probes = [ring.ctx.var(nm) for nm in ring.ctx.names]
     while len(probes) < samples + len(ring.ctx.names):
         b = random_polynomial(ring.ctx, rng, max_degree, max_terms)
-        if not ring.is_zero(b, budget):
+        if not ring.is_zero(b):
             probes.append(b)
     for b in probes:
-        d1 = derivation.deg(b, budget=budget)
-        d2 = derivation.deg(alpha.apply(b, budget), budget=budget)
+        d1 = derivation.deg(b)
+        d2 = derivation.deg(alpha.apply(b))
         if d1 != d2:
             failures.append((str(b), d1, d2))
     return {"samples": len(probes), "failures": failures,

@@ -3,6 +3,9 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
@@ -136,6 +139,31 @@ def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv):
     assert err == "budget exhausted: reduction budget exhausted\n"
 
 
+@pytest.mark.parametrize("bound", [1, 2])
+def test_lnd_check_family_and_custom_agree_on_nilp_bound(capsys, bound):
+    # the family derivation caches orders x:0, y:1, z:2 when it is built
+    custom = ["--ring=x,y,z", "--relations=x^2*z - y^2", "--images=0;x^2;2*y"]
+    family = run(capsys, ["lnd-check", *DAN2, "--nilp-bound=%d" % bound])
+    assert family == run(capsys, ["lnd-check", *custom,
+                                  "--nilp-bound=%d" % bound])
+    assert family[0] == (4 if bound == 1 else 0)
+
+
+def test_closed_stdout_exits_1_without_traceback():
+    src = os.path.join(os.path.dirname(os.path.dirname(
+        os.path.abspath(__file__))), "src")
+    read_end, write_end = os.pipe()
+    os.close(read_end)  # a reader that is gone before the first write
+    try:
+        child = subprocess.run(
+            [sys.executable, "-m", "lndfilt.cli", "deg", *DAN2, "--of=y"],
+            stdout=write_end, stderr=subprocess.PIPE, text=True, timeout=60,
+            env={**os.environ, "PYTHONPATH": src})
+    finally:
+        os.close(write_end)
+    assert (child.returncode, child.stderr) == (1, "")
+
+
 def test_deg_defaults_to_leibniz_bound(capsys):
     code, out, _ = run(capsys, ["deg", *DAN2, "--of=z^40"])
     assert (code, out) == (0, "deg(z^40) = 80\n")
@@ -267,6 +295,20 @@ def test_script_keeps_family_in_scope(tmp_path, capsys):
     assert code == 0
     assert "deg(y*z) = 6" in out
     assert "deg(z) = 4" in out
+
+
+def test_script_lines_each_get_their_own_budget(tmp_path, capsys):
+    # the family line takes 2 reduction steps and the deg line 3, so one
+    # budget of 4 shared by both lines would run out
+    script = tmp_path / "budget.txt"
+    script.write_text(
+        'family new --n 2 --e 1 --P "s^2" --Q "y^2" --gb-budget=4\n'
+        'deg --of "y*z" --gb-budget=4\n'
+        'deg --of "y*z" --gb-budget=2\n')
+    code, out, err = run(capsys, ["script", str(script), "--gb-budget=0"])
+    assert code == 4
+    assert "deg(y*z) = 6" in out
+    assert err.endswith("script stopped at line 3 (exit 4)\n")
 
 
 def test_script_stops_on_first_failure(tmp_path, capsys):

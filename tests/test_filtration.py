@@ -103,7 +103,8 @@ def test_improper_detected_empirically():
 
 def test_properness_undecided_on_tiny_budget():
     fs = _toy().filtration
-    res = fs.properness_check(budget=Budget(1))
+    with Budget(1):
+        res = fs.properness_check()
     assert res.status == "undecided"
     # the undecided verdict is not cached; a real run still succeeds
     assert fs.properness_check().status == "proper"

@@ -20,7 +20,7 @@ import sys
 
 import pytest
 
-from lndfilt import cli
+from lndfilt import cli, ideals
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXPECTED = os.path.join(GOLDEN, "expected.json")
@@ -67,6 +67,27 @@ def test_golden(line):
 
 def test_corpus_matches_expected_file():
     assert sorted(corpus()) == sorted(_expected())
+
+
+@pytest.mark.parametrize("line", [ln for ln in corpus()
+                                  if ln.split()[0] not in ("script", "selftest")])
+def test_every_step_is_charged_to_gb_budget(line, monkeypatch):
+    """A command that takes N reduction steps gives the same answer with
+    --gb-budget=N and exits 4 with N - 1: every normal form it computes,
+    family construction included, draws from the one budget."""
+    calls = [0]
+    step = ideals.Budget.step
+
+    def counted(budget):
+        calls[0] += 1
+        step(budget)
+
+    monkeypatch.setattr(ideals.Budget, "step", counted)
+    want = run(line)
+    steps = calls[0]
+    assert run(line + " --gb-budget=%d" % steps) == want
+    if steps:
+        assert run(line + " --gb-budget=%d" % (steps - 1))[0] == 4
 
 
 if __name__ == "__main__":

@@ -161,10 +161,11 @@ def test_binomial_inapplicable_cases():
 
 
 def test_budget_exhaustion():
-    with pytest.raises(BudgetExhausted):
-        _toy_ideal().groebner(MonomialOrder.grlex(4), Budget(1))
+    with pytest.raises(BudgetExhausted), Budget(1):
+        _toy_ideal().groebner(MonomialOrder.grlex(4))
     # a fresh generous budget succeeds on the same ideal
-    gb = _toy_ideal().groebner(MonomialOrder.grlex(4), Budget(100000))
+    with Budget(100000):
+        gb = _toy_ideal().groebner(MonomialOrder.grlex(4))
     assert gb
 
 

@@ -15,6 +15,7 @@ and on the number of budget steps, and raise where it raises.
 
 from __future__ import annotations
 
+import contextlib
 import random
 from fractions import Fraction
 
@@ -121,8 +122,9 @@ def test_heap_kernel_matches_rescan_oracle():
         basis = [g for g in basis if not g.is_zero()]  # drawn terms may cancel
         p = random_scaled(rng, max_degree=6, max_terms=10)
         big = 10 ** 6
-        b_heap, b_ref = Budget(big), Budget(big)
-        got = nf_against(p, basis, order, b_heap)
+        b_ref = Budget(big)
+        with Budget(big) as b_heap:
+            got = nf_against(p, basis, order)
         want = rescan_nf_against(p, basis, order, b_ref)
         assert list(got.terms.items()) == list(want.terms.items())
         steps = big - b_ref.left
@@ -130,8 +132,8 @@ def test_heap_kernel_matches_rescan_oracle():
         steps_seen += steps
         if steps:
             # one step short of what the reduction needs must fail
-            with pytest.raises(BudgetExhausted):
-                nf_against(p, basis, order, Budget(steps - 1))
+            with pytest.raises(BudgetExhausted), Budget(steps - 1):
+                nf_against(p, basis, order)
             with pytest.raises(BudgetExhausted):
                 rescan_nf_against(p, basis, order, Budget(steps - 1))
     assert kinds == {"lex", "grlex", "weight"}
@@ -147,9 +149,9 @@ def test_buchberger_reduction_steps_are_pinned(gens, steps, size):
     """The reduced basis is unique whatever the pair order; the number of
     reduction steps is not, so it pins the smallest-lcm-first selection."""
     ctx = Context(("x", "y", "z", "s"))
-    budget = Budget(10 ** 6)
-    gb = buchberger([parse_polynomial(g, ctx) for g in gens],
-                    MonomialOrder.grlex(4), budget)
+    with Budget(10 ** 6) as budget:
+        gb = buchberger([parse_polynomial(g, ctx) for g in gens],
+                        MonomialOrder.grlex(4))
     assert (10 ** 6 - budget.left, len(gb)) == (steps, size)
 
 
@@ -315,12 +317,12 @@ def test_packing_keeps_order_product_and_divisibility():
                     for i in range(len(a))] == list(a)
 
 
-def apply_oracle(D, q, bound, term_guard, budget):
+def apply_oracle(D, q, bound, term_guard):
     """deg_D(q) by repeated `Derivation.apply`: tuples and `nf_against`."""
     if q.is_zero():
         return NEG_INF
     for k in range(bound + 1):
-        q = D.apply(q, budget)
+        q = D.apply(q)
         if q.is_zero():
             return k
         if term_guard is not None and q.num_terms() > term_guard:
@@ -340,14 +342,15 @@ def counted_steps(monkeypatch):
     return calls
 
 
-def run_both(D, q, bound, term_guard, make_budget, calls):
-    """(outcome, steps) of the packed loop and of the oracle; an outcome is
-    the verdict or the exception type."""
+def run_both(D, q, bound, term_guard, make_scope, calls):
+    """(outcome, steps) of the packed loop and of the oracle, each inside a
+    new `make_scope()`; an outcome is the verdict or the exception type."""
     got = []
     for path in (D._deg_reduced, lambda *a: apply_oracle(D, *a)):
         calls[0] = 0
         try:
-            out = path(q, bound, term_guard, make_budget())
+            with make_scope():
+                out = path(q, bound, term_guard)
         except BudgetExhausted:
             out = BudgetExhausted
         got.append((out, calls[0]))
@@ -355,9 +358,11 @@ def run_both(D, q, bound, term_guard, make_budget, calls):
 
 
 def check_agreement(D, q, bound, term_guard, calls):
-    """Same verdict and steps with fresh budgets and with a shared one; one
-    step short of what the iteration needs, both paths raise."""
-    packed, oracle = run_both(D, q, bound, term_guard, lambda: None, calls)
+    """Same verdict and steps outside any scope (a fresh budget per normal
+    form) and inside one; one step short of what the iteration needs, both
+    paths raise."""
+    packed, oracle = run_both(D, q, bound, term_guard,
+                              contextlib.nullcontext, calls)
     assert packed == oracle
     big = 10 ** 6
     packed, oracle = run_both(D, q, bound, term_guard, lambda: Budget(big),
@@ -488,7 +493,7 @@ def test_nilpotency_orders_match_apply_oracle(monkeypatch):
             want = {}
             calls[0] = 0
             for nm in ctx.names:
-                d = apply_oracle(E, E.ring.nf(ctx.var(nm)), 30, None, None)
+                d = apply_oracle(E, E.ring.nf(ctx.var(nm)), 30, None)
                 if d is None:
                     want = None
                     break
