@@ -384,14 +384,25 @@ def cmd_script(session, args, parser):
 
 # ----------------------------------------------------------- wiring
 
+def _limit(text: str) -> int:
+    """A resource limit: a count, so never negative."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError("invalid int value: %r" % text) from None
+    if value < 0:
+        raise argparse.ArgumentTypeError("must be >= 0, got %d" % value)
+    return value
+
+
 def _add_common(sub, nilp_bound=64):
     sub.add_argument("--json", action="store_true",
                      help="machine readable output with sorted keys")
-    sub.add_argument("--nilp-bound", type=int, default=nilp_bound,
+    sub.add_argument("--nilp-bound", type=_limit, default=nilp_bound,
                      help="iteration bound for nilpotency and degrees")
     sub.add_argument("--degree-bound", type=int, default=12,
                      help="degree bound for searches and probes")
-    sub.add_argument("--gb-budget", type=int, default=1000000,
+    sub.add_argument("--gb-budget", type=_limit, default=1000000,
                      help="reduction steps allowed for the whole command")
 
 

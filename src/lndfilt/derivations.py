@@ -12,23 +12,41 @@ Degree of an element = number of applications before it vanishes; the zero
 element gets NEG_INF.  All iteration is bounded and a missed bound is an
 explicit verdict (BoundExceeded / None), never a silent wrong answer.
 
-Every nilpotency order and every degree comes from one loop,
-`Derivation._deg_reduced`, which runs on monomials packed into one int each
-(`ideals.Packing`): the order key's fields side by side, so that integer
-order is the ring's monomial order, a product is `+` and a divisibility
-test is one mask.  The loop packs the iterate, the images (pre-shifted by
--e_i, so D(c x^m) adds m_i * c * (x^m + image term - e_i)) and the ring's
-reduced basis once per call, applies D straight into one dict and reduces
-with `nf_against`'s heap algorithm: the same pops, the same first divisor
-and one `Budget.step` per reduction.  It never unpacks, since its callers
-read only the degree.  The field width comes from an a priori bound, not
-from a check in the inner loop: one Leibniz step raises a field by at most
-the largest image field and one reduction by at most the largest basis
-field, so no field exceeds the largest input field plus (bound + 1) times
-the largest image field plus R times the largest basis field, where R is
-the number of reductions the active budget scope still allows (outside any
-scope each application reduces under a fresh budget, so R is bound + 1
+Every nilpotency order, and every degree the top-term certificate below
+leaves open, comes from one loop, `Derivation._deg_reduced`, which runs on
+monomials packed into one int each (`ideals.Packing`): the order key's
+fields side by side, so that integer order is the ring's monomial order, a
+product is `+` and a divisibility test is one mask.  The loop packs the
+iterate, the images (pre-shifted by -e_i, so D(c x^m) adds
+m_i * c * (x^m + image term - e_i)) and the ring's reduced basis once per
+call, applies D straight into one dict and reduces with `nf_against`'s heap
+algorithm: the same pops, the same first divisor and one `Budget.step` per
+reduction.  It unpacks nothing but the last nonzero iterate, and that only
+when `variable_orders` asks for it.  The field width comes from an a priori
+bound, not from a check in the inner loop: one Leibniz step raises a field
+by at most the largest image field and one reduction by at most the largest
+basis field, so no field exceeds the largest input field plus (bound + 1)
+times the largest image field plus R times the largest basis field, where R
+is the number of reductions the active budget scope still allows (outside
+any scope each application reduces under a fresh budget, so R is bound + 1
 fresh budgets).
+
+`deg` answers without that loop whenever the generators' orders d_i are
+cached (every family build and every `default_bound` call fills them).
+Let N be the largest L(m) = sum m_i * d_i over the terms c_m x^m of
+q = nf(p).  By Leibniz, D^k(x^m) is a sum over ways to share k applications
+among the factors, with multinomial weights, and a factor x_i that takes
+more than d_i of them vanishes.  So D^(N+1)(q) = 0, and in D^N(q) only the
+terms with L(m) = N survive, each with every factor taking exactly d_i:
+
+    D^N(q) = N! * T,  T = sum_{L(m) = N} c_m * prod (D^d_i(x_i) / d_i!)^m_i.
+
+Over Q, N! is a unit, so deg_D(p) = N exactly when nf(T) != 0: one product
+of the cached top iterates D^d_i(x_i) (kernel elements, kept packed from
+the order computation and unpacked once) and one normal form.  When the
+top terms cancel, as for s = y^2 - x*z on the new family (N = 4, degree 1),
+`deg` falls back to the loop; so it does when N exceeds an explicit bound,
+since bound + 1 applications can cost far less than T (z^3000000000).
 """
 
 from __future__ import annotations
@@ -36,6 +54,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import factorial
 
 from .ideals import (Ideal, MonomialOrder, Packing, _budget, _steps_left,
                      normal_form)
@@ -91,14 +110,16 @@ class NilpotencyCertificate:
 class Derivation:
     """A k-derivation of a presented ring, given by generator images."""
 
-    __slots__ = ("ring", "images", "_var_orders")
+    # _nilp: None, or (orders, tops) with each generator's nilpotency order
+    # d_i and its top iterate D^d_i(x_i) in normal form, in ctx order
+    __slots__ = ("ring", "images", "_nilp")
 
     def __init__(self, ring: RingPresentation, images, check: bool = True):
         if len(images) != len(ring.ctx):
             raise ValueError("need one image per generator")
         self.ring = ring
         self.images = tuple(ring.nf(p) for p in images)
-        self._var_orders = None
+        self._nilp = None
         if check:
             for g in ring.relations.gens:
                 v = ring.nf(self._apply_free(g))
@@ -136,17 +157,27 @@ class Derivation:
 
     def variable_orders(self, bound: int = 256, term_guard: int | None = None):
         """Nilpotency order per generator, or None when the bound misses."""
-        orders = self._var_orders
-        if orders is not None:  # exact, so they answer any bound
+        if self._nilp is not None:  # exact, so they answer any bound
+            orders = self._nilp[0]
             return orders if max(orders.values(), default=0) <= bound else None
-        orders = {}
+        orders, tops = {}, []
         for nm in self.ring.ctx.names:
-            d = self._deg_reduced(self.ring.nf(self.ring.ctx.var(nm)), bound, term_guard)
-            if d is None:
+            got = self._deg_reduced(self.ring.nf(self.ring.ctx.var(nm)), bound,
+                                    term_guard, with_top=True)
+            if got is None:
                 return None
-            orders[nm] = 0 if d == NEG_INF else d
-        self._var_orders = orders
+            orders[nm] = 0 if got[0] == NEG_INF else got[0]
+            tops.append(got[1])
+        self._nilp = (orders, tuple(tops))
         return orders
+
+    def _take_orders(self, multiple: "Derivation", scale) -> None:
+        """Cache the orders and top iterates of multiple = scale * self, whose
+        own are cached: (scale*D)^k = scale^k * D^k, so the orders agree and
+        each top iterate is divided by scale^d_i."""
+        orders, tops = multiple._nilp
+        self._nilp = (orders, tuple(t / scale ** orders[nm] for nm, t
+                                    in zip(self.ring.ctx.names, tops)))
 
     def is_locally_nilpotent(self, bound: int = 256, term_guard: int | None = None):
         """NilpotencyCertificate, or None as the no-within-bound verdict."""
@@ -155,11 +186,14 @@ class Derivation:
             return None
         return NilpotencyCertificate(orders, bound)
 
-    def _deg_reduced(self, q: Polynomial, bound: int, term_guard: int | None):
+    def _deg_reduced(self, q: Polynomial, bound: int, term_guard: int | None,
+                     with_top: bool = False):
         """deg_D(q) for q in normal form, or None when the iterate survives
-        the bound or outgrows term_guard; see the module docstring."""
+        the bound or outgrows term_guard; see the module docstring.  With
+        with_top, (deg_D(q), D^deg(q)) instead, the last nonzero iterate
+        unpacked into a Polynomial."""
         if q.is_zero():
-            return NEG_INF
+            return (NEG_INF, q) if with_top else NEG_INF
         if bound < 0:
             return None
         ring = self.ring
@@ -205,7 +239,12 @@ class Derivation:
             if red and out:
                 out = _reduce_packed(out, red, guard, _budget().step)
             if not out:
-                return k
+                if not with_top:
+                    return k
+                shifts = pk.shifts
+                return k, Polynomial(ring.ctx, {
+                    tuple((pm >> sh) & mask for sh in shifts): c
+                    for pm, c in cur.items()})
             if term_guard is not None and len(out) > term_guard:
                 return None
             cur = out
@@ -230,6 +269,12 @@ class Derivation:
     def deg(self, p: Polynomial, bound: int | None = None):
         """deg_D(p): number of applications before extinction; NEG_INF at 0.
 
+        With the generators' orders cached and the Leibniz bound N of nf(p)
+        within the bound, the answer is N whenever the top term T (module
+        docstring) has a nonzero normal form: D^(N+1) kills nf(p) and
+        D^N(nf(p)) = N! * T, so the degree is exactly N.  Otherwise D is
+        iterated, at most bound + 1 times.
+
         Raises BoundExceeded when the iterate survives the bound, which
         signals either non-nilpotency or a bound chosen too small.
         """
@@ -238,10 +283,38 @@ class Derivation:
             return NEG_INF
         if bound is None:
             bound = self.default_bound(q)
-        d = self._deg_reduced(q, bound, None)
+        d = None if self._nilp is None else self._top_degree(q, bound)
         if d is None:
-            raise BoundExceeded("degree iteration exceeded bound %d" % bound)
+            d = self._deg_reduced(q, bound, None)
+            if d is None:
+                raise BoundExceeded("degree iteration exceeded bound %d" % bound)
         return d
+
+    def _top_degree(self, q: Polynomial, bound: int):
+        """The Leibniz bound N of a nonzero normal form q when N <= bound
+        and its top term T survives in the ring, so that deg_D(q) = N; None
+        when N > bound (T could be huge, and the loop stops at the bound)
+        or when nf(T) = 0."""
+        orders, tops = self._nilp
+        ords = [orders[nm] for nm in self.ring.ctx.names]
+        weights = {m: sum(e * d for e, d in zip(m, ords)) for m in q.terms}
+        n = max(weights.values())
+        if n > bound:
+            return None
+        if n == 0:  # D kills every generator in q
+            return 0
+        t = self.ring.ctx.zero()
+        for m, c in q.terms.items():
+            if weights[m] != n:
+                continue
+            den = 1
+            term = None
+            for e, d, x in zip(m, ords, tops):
+                if e:
+                    den *= factorial(d) ** e
+                    term = x ** e if term is None else term * x ** e
+            t = t + term * (c if den == 1 else Fraction(c, den))
+        return n if not self.ring.nf(t).is_zero() else None
 
     def kernel_member(self, p: Polynomial) -> bool:
         return self.apply(p).is_zero()

@@ -352,7 +352,8 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
         if cert is None:
             result.rejected += 1
             return None
-        D._var_orders = cleared._var_orders  # a multiple has D's orders
+        if scale != 1:
+            D._take_orders(cleared, scale)
         seen_keys.add(key)
         cls, factor = _classify_against_canonical(inst, D, image_degree_bound)
         result.candidates.append(LndCandidate(D, cert, cls, factor, source))

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import subprocess
@@ -9,6 +10,7 @@ import sys
 
 import pytest
 
+from lndfilt import cli
 from lndfilt.cli import main
 from lndfilt.derivations import Derivation
 
@@ -124,10 +126,13 @@ DAN2 = ["--family=danielewski", "--n=2", "--P=y^2"]
 # the nilpotency proof of this derivation takes two reductions (by z^2)
 STEPPED = ["lnd-check", "--ring=x,y,z", "--relations=z^2",
            "--images=z;x^2 + x^3;0"]
+# the Leibniz top term of s^3 z (s = y^2 - x*z, N = 16) cancels, so deg
+# iterates: 7 reductions after the family build's 1
+CANCELLING = "--of=(y^2 - x*z)^3*z"
 
 
 @pytest.mark.parametrize("argv", [
-    ["deg", *DAN2, "--of=y^3*z^2"],
+    ["deg", *TOY, CANCELLING],
     ["auto", *DAN2, "--lam=2", "--mu=4"],
     STEPPED,
 ])
@@ -137,6 +142,36 @@ def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv):
     assert code == 4
     assert out == ""
     assert err == "budget exhausted: reduction budget exhausted\n"
+
+
+# one valid call per subcommand
+EVERY_SUBCOMMAND = {
+    "family": ["family", "danielewski", "--n=2", "--P=y^2"],
+    "deg": ["deg", *DAN2, "--of=y"],
+    "lnd-check": ["lnd-check", *DAN2],
+    "filtration": ["filtration", *DAN2, "--r=2"],
+    "gr": ["gr", *DAN2],
+    "search": ["search", *DAN2, "--degree-bound=2"],
+    "auto": ["auto", *DAN2, "--lam=2", "--mu=4"],
+    "iso": ["iso", "--n=2", "--P1=y^2 + x", "--P2=y^2 + 2*x"],
+    "selftest": ["selftest"],
+    "script": ["script", "-"],
+}
+
+
+def test_every_subcommand_is_listed():
+    subparsers = next(a for a in cli._parser()._actions
+                      if isinstance(a, argparse._SubParsersAction))
+    assert sorted(subparsers.choices) == sorted(EVERY_SUBCOMMAND)
+
+
+@pytest.mark.parametrize("limit", ["--gb-budget", "--nilp-bound"])
+@pytest.mark.parametrize("cmd", sorted(EVERY_SUBCOMMAND))
+def test_negative_limit_is_a_usage_error(capsys, cmd, limit):
+    code, out, err = run(capsys, [*EVERY_SUBCOMMAND[cmd], limit + "=-1"])
+    assert code == 1
+    assert out == ""
+    assert err == "usage error: argument %s: must be >= 0, got -1\n" % limit
 
 
 @pytest.mark.parametrize("bound", [1, 2])
@@ -298,16 +333,16 @@ def test_script_keeps_family_in_scope(tmp_path, capsys):
 
 
 def test_script_lines_each_get_their_own_budget(tmp_path, capsys):
-    # the family line takes 2 reduction steps and the deg line 3, so one
-    # budget of 4 shared by both lines would run out
+    # the family line takes 1 reduction step and the deg line 7, so one
+    # budget of 7 shared by both lines would run out
     script = tmp_path / "budget.txt"
     script.write_text(
-        'family new --n 2 --e 1 --P "s^2" --Q "y^2" --gb-budget=4\n'
-        'deg --of "y*z" --gb-budget=4\n'
-        'deg --of "y*z" --gb-budget=2\n')
+        'family new --n 2 --e 1 --P "s^2" --Q "y^2" --gb-budget=7\n'
+        'deg --of "(y^2 - x*z)^3*z" --gb-budget=7\n'
+        'deg --of "(y^2 - x*z)^3*z" --gb-budget=6\n')
     code, out, err = run(capsys, ["script", str(script), "--gb-budget=0"])
     assert code == 4
-    assert "deg(y*z) = 6" in out
+    assert "deg((y^2 - x*z)^3*z) = 7" in out
     assert err.endswith("script stopped at line 3 (exit 4)\n")
 
 

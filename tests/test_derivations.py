@@ -3,14 +3,17 @@
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
 from lndfilt.derivations import (BoundExceeded, Derivation, NotWellDefined,
                                  RingPresentation)
+from lndfilt.families import (bounded_lnd_search, make_danielewski,
+                              make_koras_russell2, make_new_family)
 from lndfilt.ideals import Ideal
 from lndfilt.parser import parse_polynomial
-from lndfilt.poly import NEG_INF, Context, random_polynomial
+from lndfilt.poly import NEG_INF, Context, Polynomial, random_polynomial
 
 XYZ = Context(("x", "y", "z"))
 
@@ -134,3 +137,149 @@ def test_free_ring_default_relations():
     assert ring.nf(_p("x^2*z - y^2")) == _p("x^2*z - y^2")
     d = Derivation(ring, [XYZ.one(), XYZ.zero(), XYZ.zero()])
     assert d.deg(_p("x^5")) == 5
+
+
+# ------------------------------------------- the Leibniz top-term certificate
+#
+# `deg` answers N, the Leibniz bound of nf(p), when the top term T of nf(p)
+# survives in the ring, and iterates otherwise.  The oracle is the iteration
+# itself, `_deg_reduced` run up to the Leibniz bound.
+
+XY = Context(("x", "y"))
+XS = Context(("x", "s"))
+XZT = Context(("x", "z", "t"))
+
+
+def _families():
+    return [
+        make_danielewski(2, _p("y^3 + x*y", XY)),
+        make_danielewski(3, _p("y^2 + 1/2*x*y", XY)),
+        make_koras_russell2(2, 3, 2, _p("t^2 + x + z*t", XZT)),
+        make_new_family(2, 1, _p("s^2", XS), _p("y^2", XY)),
+        make_new_family(2, 1, _p("s^2 + x*s", XS), _p("y^2 + x*y", XY)),
+    ]
+
+
+def _oracle(D, q):
+    """deg_D(q) by iteration up to the Leibniz bound, for q in normal form."""
+    return D._deg_reduced(q, D.default_bound(q), None)
+
+
+def _check_certificate(D, p):
+    """deg agrees with the oracle, with and without an explicit bound, and
+    so does the certificate whenever it answers; returns whether it did."""
+    q = D.ring.nf(p)
+    want = _oracle(D, q)
+    assert D.deg(p) == want, p
+    if q.is_zero():
+        return False
+    got = D._top_degree(q, D.default_bound(q))
+    assert got in (None, want), (p, got, want)
+    assert D.deg(p, want) == want
+    if want > 0:
+        assert D._deg_reduced(q, want - 1, None) is None
+        with pytest.raises(BoundExceeded):
+            D.deg(p, want - 1)
+    return got is not None
+
+
+def _rational(p, rng):
+    return Polynomial(p.ctx, {m: Fraction(c, rng.randint(1, 4))
+                              for m, c in p.terms.items()})
+
+
+def _monomials_to_leibniz_degree(D, top, kernel_exponent=1):
+    """Every monomial with Leibniz degree <= top whose order-0 variables
+    have exponent <= kernel_exponent."""
+    ords = [D.variable_orders()[nm] for nm in D.ring.ctx.names]
+
+    def grow(i, left):
+        if i == len(ords):
+            yield ()
+            return
+        cap = kernel_exponent if ords[i] == 0 else left // ords[i]
+        for e in range(cap + 1):
+            for rest in grow(i + 1, left - e * ords[i]):
+                yield (e,) + rest
+
+    return [D.ring.ctx.monomial(m) for m in grow(0, top)]
+
+
+# the last family's iterates carry fractions, so its monomials stop at 8
+@pytest.mark.parametrize("index,top", [(0, 12), (1, 12), (2, 12), (3, 12),
+                                       (4, 8)])
+def test_top_term_certificate_matches_iteration(index, top):
+    inst = _families()[index]
+    D, ctx = inst.derivation, inst.ring.ctx
+    rng = random.Random(1300 + index)
+    elements = _monomials_to_leibniz_degree(D, top)
+    for _ in range(15):
+        p = random_polynomial(ctx, rng, max_degree=3, max_terms=4)
+        elements += [p, _rational(p, rng)]
+    s = inst.slice_elem
+    for k in range(1, 5):
+        elements += [s ** k] + [s ** k * v for v in ctx.gens()]
+        elements.append(s ** k + _rational(
+            random_polynomial(ctx, rng, max_degree=2, max_terms=2), rng))
+    answered = sum(_check_certificate(D, p) for p in elements)
+    assert answered >= len(elements) // 2
+
+
+def test_top_term_cancels_on_multiples_of_the_new_family_slice():
+    inst = _families()[3]
+    D, ring = inst.derivation, inst.ring
+    x, y, z = ring.ctx.gens()
+    s = y ** 2 - x * z
+    # s has Leibniz bound 4 (orders y:2, z:4) but degree 1: its top terms
+    # y^2 and x*z weigh 1/(2!)^2 and 1/4!, and T = x^8/4 - 24*x^8/24 + ...
+    # cancels; every multiple below keeps a cancelling top term
+    for p in [s, s * y, s * z, s * y * z, s * z ** 2, s ** 3, s ** 3 * z]:
+        q = ring.nf(p)
+        want = _oracle(D, q)
+        assert want < D.default_bound(q)
+        assert D._top_degree(q, D.default_bound(q)) is None
+        assert D.deg(p) == want
+
+
+def test_top_iterates_are_the_derivations_own():
+    for inst in _families():
+        D = inst.derivation
+        orders, tops = D._nilp
+        for nm, top in zip(D.ring.ctx.names, tops):
+            assert top == D.iterate(D.ring.ctx.var(nm), orders[nm])
+            assert D.kernel_member(top)
+
+
+def test_certificate_with_a_generator_that_normalises_to_zero():
+    # z lies in the relation ideal, so nf(z) = 0, its order is 0 and its
+    # top iterate is the zero polynomial
+    ring = RingPresentation(XYZ, Ideal(XYZ, [_p("z")]))
+    D = Derivation(ring, [XYZ.zero(), _p("x^2 + z"), _p("y*z")])
+    assert D.variable_orders() == {"x": 0, "y": 1, "z": 0}
+    assert D._nilp[1][2].is_zero()
+    rng = random.Random(1310)
+    for _ in range(40):
+        p = random_polynomial(XYZ, rng, max_degree=5, max_terms=4)
+        _check_certificate(D, p)
+        _check_certificate(D, _rational(p, rng))
+
+
+def test_certificate_on_search_candidates_with_cleared_orders():
+    # a rational candidate is certified on its denominator-cleared multiple
+    # c*D; its top iterates are divided back by c^d_i to stay D's own
+    res = bounded_lnd_search(make_danielewski(2, _p("y^2", XY)),
+                             image_degree_bound=4, nilp_bound=20)
+    rational = [c.derivation for c in res.candidates
+                if any(isinstance(v, Fraction) for img in c.derivation.images
+                       for v in img.terms.values())]
+    assert rational
+    rng = random.Random(1320)
+    for D in rational:
+        orders, tops = D._nilp
+        for nm, top in zip(D.ring.ctx.names, tops):
+            assert top == D.iterate(D.ring.ctx.var(nm), orders[nm])
+        for p in _monomials_to_leibniz_degree(D, 8):
+            _check_certificate(D, p)
+        for _ in range(10):
+            _check_certificate(D, _rational(
+                random_polynomial(D.ring.ctx, rng, max_degree=3), rng))

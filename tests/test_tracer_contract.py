@@ -17,8 +17,10 @@ import lndfilt.cli as cli
 
 TRACER_PY = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
 FAMILY = ["--family=danielewski", "--n=2", "--P=y^2"]
+# the Leibniz top term of (y^2 - x*z)^3*z cancels, so deg runs the iteration
 OPS = [["search", *FAMILY, "--degree-bound=2", "--nilp-bound=8", "--json"],
-       ["deg", *FAMILY, "--of=y^3*z^2", "--json"]]
+       ["deg", "--family=new", "--n=2", "--e=1", "--P=s^2", "--Q=y^2",
+        "--of=(y^2 - x*z)^3*z", "--json"]]
 NONZERO = ["ideals.nf_against.calls", "ideals.reductions", "poly.mul.calls"]
 
 
