@@ -506,32 +506,23 @@ def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
 # ------------------------------------------------------------ layer formulas
 
 def _stated_layer_generators(inst: FamilyInstance, weight: int):
-    """The closed-form module generators of the layer at a given weight."""
+    """The closed-form module generators of the layer at a given weight.
+
+    They are the products of the slice and the generators of declared
+    degree > 1, taken in rising degree, where each factor's power stays
+    below the next factor's degree divided by its own and the last
+    factor's power is free.
+    """
     ctx = inst.ring.ctx
-    out = []
-    if inst.family == "danielewski":
-        m = inst.params["m"]
-        y, z = ctx.var("y"), ctx.var("z")
-        for j in range(min(m - 1, weight) + 1):
-            if (weight - j) % m == 0:
-                out.append(y ** j * z ** ((weight - j) // m))
-    elif inst.family == "koras-russell-2":
-        m = inst.params["m"]
-        t, y = ctx.var("t"), ctx.var("y")
-        for j in range(min(m - 1, weight) + 1):
-            if (weight - j) % m == 0:
-                out.append(t ** j * y ** ((weight - j) // m))
-    else:
-        d, m = inst.params["d"], inst.params["m"]
-        s, y, z = inst.slice_elem, ctx.var("y"), ctx.var("z")
-        for lo in range(min(d - 1, weight) + 1):
-            for j in range(m):
-                rest = weight - lo - d * j
-                if rest < 0:
-                    break
-                if rest % (m * d) == 0:
-                    out.append(s ** lo * y ** j * z ** (rest // (m * d)))
-    return out
+    chain = [(1, inst.slice_elem)] + [
+        (d, ctx.var(nm)) for d, nm in sorted(
+            (d, nm) for nm, d in inst.degrees.items() if d > 1)]
+    partial = [(ctx.one(), weight)]
+    for (d, g), (d_next, _) in zip(chain, chain[1:]):
+        partial = [(p * g ** k, rest - d * k) for p, rest in partial
+                   for k in range(min(d_next // d - 1, rest // d) + 1)]
+    d, g = chain[-1]
+    return [p * g ** (rest // d) for p, rest in partial if rest % d == 0]
 
 
 def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12,
@@ -550,14 +541,8 @@ def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12,
     if coeff_cap is None:
         # enough kernel-variable degree to express the rewriting chains of
         # the main variable's power reductions, plus the probe decorations
-        n = inst.params["n"]
-        if inst.family == "danielewski":
-            cap = n * (max_degree // inst.params["m"])
-        elif inst.family == "koras-russell-2":
-            cap = (max(n, inst.params["e"]) * inst.params["l"]
-                   * (max_degree // inst.params["m"]))
-        else:
-            cap = (n + inst.params["e"]) * (max_degree // inst.params["d"])
+        lowest = min(d for d in inst.degrees.values() if d > 1)
+        cap = inst.plinth_gen.degree() * (max_degree // lowest)
         coeff_cap = cap + zero_cap + 4
 
     zero_vars = [(i, 1) for i, w in enumerate(fs.omega) if w == 0]

@@ -8,6 +8,18 @@ coefficient polynomials of P at the powers of x below the conductor
 exponent; those are checked coefficient by coefficient and failures are
 reported with the indices involved.
 
+Every automorphism and every isomorphism witness is one triangular map
+(`_triangular`): x -> lam x, slice -> mu slice + x^c a(x), and the variable
+v solved by x^n v = P(x, slice) goes to
+
+    v mu^k / lam^n + (P_src(lam x, image of slice) - mu^k P_tgt(x, slice)) / (lam x)^n.
+
+An automorphism's inverse is the same map for (1/lam, 1/mu,
+-a(x/lam)/(mu lam^c)); a witness's inverse swaps the rings and takes
+(1/lam, 1/mu).  The exact identity rel_src(images) = mu^k rel_tgt stands in
+for the relation check, and each pair is verified once, on the variables:
+`verify_inverse` remembers the inverse it accepted.
+
 The isomorphism decision for the x^n z = P(x,y) family turns the same
 congruences into the multiplicative system lambda^j f_j = mu^i g_j over the
 nonzero coefficient pairs.  Its solvability over Q is decided exactly with
@@ -53,6 +65,7 @@ class RingMorphism:
         self.target = target
         self.images = {nm: target.nf(images[nm]) for nm in source.ctx.names}
         self.inverse = inverse
+        self._verified = None    # the inverse verify_inverse last accepted
         if check and not self.check():
             raise MorphismError("a defining relation is not preserved")
 
@@ -88,11 +101,26 @@ class RingMorphism:
                    for nm, img in self.images.items())
 
     def verify_inverse(self) -> bool:
-        if self.inverse is None:
+        """inverse after self and self after inverse fix every variable.
+
+        Checked on the variables directly, once per inverse object: both
+        maps remember the pair, and assigning a new inverse checks again.
+        """
+        inv = self.inverse
+        if inv is None:
             return False
-        back = self.inverse.compose(self)
-        forth = self.compose(self.inverse)
-        return back.is_identity() and forth.is_identity()
+        if self._verified is inv:
+            return True
+        if self.source.ctx.names != inv.target.ctx.names or \
+                self.target.ctx.names != inv.source.ctx.names:
+            return False
+        if not (all(inv.target.eq(inv.apply(img), inv.target.ctx.var(nm))
+                    for nm, img in self.images.items())
+                and all(self.target.eq(self.apply(img), self.target.ctx.var(nm))
+                        for nm, img in inv.images.items())):
+            return False
+        self._verified, inv._verified = inv, self
+        return True
 
     def __repr__(self):
         body = ", ".join("%s -> %s" % (nm, img)
@@ -176,11 +204,75 @@ def normalize_subleading(inst: FamilyInstance):
     back = RingMorphism(inst2.ring, inst.ring,
                         {"x": ctx.var("x"), "y": y - shift.lift(ctx),
                          "z": ctx.var("z")})
+    return inst2, _verified(_paired(fwd, back)), back
+
+
+# ------------------------------------------------- the one triangular map
+
+def _triangular(src: FamilyInstance, tgt: FamilyInstance,
+                data: AutomorphismData) -> RingMorphism:
+    """The map src -> tgt between rings x^n v = P(x, s) with slice s:
+
+        x -> lam x,   s -> mu s + x^c a(x),
+        v -> v mu^k / lam^n + (P_src(lam x, image of s) - mu^k P_tgt(x, s)) / (lam x)^n
+
+    where x^c is the plinth generator and k = deg_s P.  On x^n z = P(x,y)
+    the slice is y and v = z; on x^n y = P(x,s) with s = y^m - x^e z, v = y
+    and z follows from z = (y^m - s) / x^e.  The images send the source
+    relation to exactly mu^k times the target relation, which is checked
+    here, so the map needs no second relation check.
+    """
+    lam, mu = data.lam, data.mu
+    n, new = src.params["n"], src.family == "new-family"
+    main, v, k = ("s", "y", src.params["d"]) if new else ("y", "z", src.params["m"])
+    ctx = tgt.ring.ctx
+    x, s = ctx.var("x"), tgt.slice_elem
+    rel = tgt.relation()
+    s_img = s * mu + x ** src.plinth_gen.degree() * data.a.lift(ctx)
+    # P_tgt(x, s) read off the target relation x^n v - P_tgt(x, s)
+    numer = src.params["P"].subs({"x": x * lam, main: s_img}, ctx) \
+        - (x ** n * ctx.var(v) - rel) * mu ** k
+    images = {"x": x * lam, v: ctx.var(v) * (mu ** k / lam ** n)
+              + _div_x(numer, n, v) * (1 / lam ** n)}
+    if new:
+        e = src.params["e"]
+        images["z"] = _div_x(images["y"] ** src.params["m"] - s_img, e, "z") \
+            * (1 / lam ** e)
+    else:
+        images["y"] = s_img
+    if src.relation().subs(images, ctx) != rel * mu ** k:
+        raise MorphismError("internal: relation is not scaled exactly")
+    return RingMorphism(src.ring, tgt.ring, images, check=False)
+
+
+def _div_x(numer: Polynomial, k: int, name: str) -> Polynomial:
+    try:
+        return numer.div_exact_var("x", k)
+    except ValueError as err:
+        raise MorphismError("internal: %s-image numerator not divisible: %s"
+                            % (name, err))
+
+
+def _paired(fwd: RingMorphism, back: RingMorphism) -> RingMorphism:
     fwd.inverse = back
     back.inverse = fwd
-    if not fwd.verify_inverse():
-        raise MorphismError("internal: translation maps fail to invert")
-    return inst2, fwd, back
+    return fwd
+
+
+def _auto_pair(inst: FamilyInstance, data: AutomorphismData) -> RingMorphism:
+    """The automorphism of data, paired with the same map for the inverse
+    data (1/lam, 1/mu, -a(x/lam)/(mu lam^c)), x^c the plinth generator."""
+    lam, mu = data.lam, data.mu
+    inv_a = _scaled_x(data.a, 1 / lam, data.a.ctx) \
+        * (Fraction(-1) / (mu * lam ** inst.plinth_gen.degree()))
+    return _paired(_triangular(inst, inst, data),
+                   _triangular(inst, inst, AutomorphismData(1 / lam, 1 / mu, inv_a)))
+
+
+def _verified(alpha: RingMorphism) -> RingMorphism:
+    if not alpha.verify_inverse():
+        raise MorphismError("internal: inverse fails to compose to id")
+    return alpha
 
 
 # ------------------------------------------------------------ x^n z = P(x,y)
@@ -189,49 +281,19 @@ def build_auto_danielewski(inst: FamilyInstance,
                            data: AutomorphismData) -> RingMorphism:
     """Automorphism (x, y, z) -> (lam x, mu y + x^n a(x), ...) when the
     coefficient congruences allow it; the z-image is produced by exact
-    division, and the inverse is built from (1/lam, 1/mu, -a(x/lam)/(mu lam^n))
-    and verified by composition."""
+    division, and the inverse is the same map for the data
+    (1/lam, 1/mu, -a(x/lam)/(mu lam^n)), checked once on the variables.
+    A nonzero y^(m-1) coefficient is first translated away, and the map is
+    conjugated back."""
     if inst.family != "danielewski":
         raise PreconditionError("expects an x^n z = P(x,y) instance")
     norm, fwd, back = normalize_subleading(inst)
+    _coefficient_congruences(norm.params["P"], "y", norm.params["m"],
+                             norm.params["n"], data.lam, data.mu)
+    alpha = _auto_pair(norm, data)
     if norm is not inst:
-        alpha = _auto_danielewski_normalized(norm, data)
-        out = back.compose(alpha.compose(fwd))
-        if not out.verify_inverse():
-            raise MorphismError("internal: conjugated automorphism broke")
-        return out
-    return _auto_danielewski_normalized(inst, data)
-
-
-def _auto_danielewski_normalized(inst, data, with_inverse: bool = True):
-    P, n, m = inst.params["P"], inst.params["n"], inst.params["m"]
-    lam, mu, a = data.lam, data.mu, data.a
-    _coefficient_congruences(P, "y", m, n, lam, mu)
-    ctx = inst.ring.ctx
-    x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
-    a_x = a.lift(ctx)
-    y_img = y * mu + x ** n * a_x
-    P_ring = P.lift(ctx)
-    numer = P.subs({"x": x * lam, "y": y_img}, ctx) - P_ring * mu ** m
-    try:
-        quot = numer.div_exact_var("x", n)
-    except ValueError as e:
-        raise MorphismError("internal: z-image numerator not divisible: %s" % e)
-    z_img = z * (mu ** m / lam ** n) + quot * (1 / lam ** n)
-    images = {"x": x * lam, "y": y_img, "z": z_img}
-    rel = inst.relation()
-    if rel.subs(images, ctx) != rel * mu ** m:
-        raise MorphismError("internal: relation is not scaled exactly")
-    alpha = RingMorphism(inst.ring, inst.ring, images)
-    if with_inverse:
-        inv_a = _scaled_x(a, 1 / lam, a.ctx) * (Fraction(-1) / (mu * lam ** n))
-        inv = _auto_danielewski_normalized(
-            inst, AutomorphismData(1 / lam, 1 / mu, inv_a), with_inverse=False)
-        alpha.inverse = inv
-        inv.inverse = alpha
-        if not alpha.verify_inverse():
-            raise MorphismError("internal: inverse fails to compose to id")
-    return alpha
+        alpha = back.compose(alpha.compose(fwd))
+    return _verified(alpha)
 
 
 # ------------------------------------------------------ x^n y = P(x, s) rings
@@ -243,7 +305,15 @@ def build_auto_newfamily(inst: FamilyInstance,
     if inst.family != "new-family":
         raise PreconditionError("expects an x^n y = P(x,s) instance")
     _check_newfamily_shape(inst)
-    return _auto_newfamily(inst, data)
+    n, e = inst.params["n"], inst.params["e"]
+    d, m = inst.params["d"], inst.params["m"]
+    lam, mu = data.lam, data.mu
+    if mu ** (d * m) != mu * lam ** (n * m):
+        raise MorphismError(
+            "scaling constraint mu^(dm) = mu*lam^(nm) fails: %s vs %s"
+            % (mu ** (d * m), mu * lam ** (n * m)))
+    _coefficient_congruences(inst.params["P"], "s", d, n + e, lam, mu)
+    return _verified(_auto_pair(inst, data))
 
 
 def _check_newfamily_shape(inst):
@@ -256,51 +326,6 @@ def _check_newfamily_shape(inst):
         raise PreconditionError(
             "automorphism formula needs the s^%d coefficient of P to vanish "
             "(no slice translation is available to arrange it)" % (d - 1))
-
-
-def _auto_newfamily(inst, data, with_inverse: bool = True):
-    P = inst.params["P"]
-    n, e = inst.params["n"], inst.params["e"]
-    d, m = inst.params["d"], inst.params["m"]
-    lam, mu, a = data.lam, data.mu, data.a
-    if mu ** (d * m) != mu * lam ** (n * m):
-        raise MorphismError(
-            "scaling constraint mu^(dm) = mu*lam^(nm) fails: %s vs %s"
-            % (mu ** (d * m), mu * lam ** (n * m)))
-    _coefficient_congruences(P, "s", d, n + e, lam, mu)
-    ctx = inst.ring.ctx
-    x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
-    a_x = a.lift(ctx)
-    s = inst.slice_elem
-    s_img = s * mu + x ** (n + e) * a_x
-    numer = P.subs({"x": x * lam, "s": s_img}, ctx) \
-        - P.subs({"s": s}, ctx) * mu ** d
-    try:
-        quot = numer.div_exact_var("x", n)
-    except ValueError as err:
-        raise MorphismError("internal: y-image numerator not divisible: %s" % err)
-    y_img = y * (mu ** d / lam ** n) + quot * (1 / lam ** n)
-    z_numer = y_img ** m - s_img
-    try:
-        z_quot = z_numer.div_exact_var("x", e)
-    except ValueError as err:
-        raise MorphismError("internal: z-image numerator not divisible: %s" % err)
-    z_img = z_quot * (1 / lam ** e)
-    images = {"x": x * lam, "y": y_img, "z": z_img}
-    rel = inst.relation()
-    if rel.subs(images, ctx) != rel * mu ** d:
-        raise MorphismError("internal: relation is not scaled exactly")
-    alpha = RingMorphism(inst.ring, inst.ring, images)
-    if with_inverse:
-        inv_a = _scaled_x(a, 1 / lam, a.ctx) \
-            * (Fraction(-1) / (mu * lam ** (n + e)))
-        inv = _auto_newfamily(
-            inst, AutomorphismData(1 / lam, 1 / mu, inv_a), with_inverse=False)
-        alpha.inverse = inv
-        inv.inverse = alpha
-        if not alpha.verify_inverse():
-            raise MorphismError("internal: inverse fails to compose to id")
-    return alpha
 
 
 # ------------------------------------------------------------ iso decision
@@ -323,9 +348,10 @@ def iso_decide(inst1: FamilyInstance, inst2: FamilyInstance) -> IsoDecision:
 
     Matches the exponent pair (n, m), then solves the multiplicative system
     lam^j f_j = mu^i g_j over the nonzero coefficient pairs via the Smith
-    form of the exponent lattice.  A produced witness is always verified by
-    composition; solvability only over an extension is reported as
-    conditions like "t^2 = 2" rather than decided.
+    form of the exponent lattice.  A produced witness is always verified:
+    it preserves the relation and its inverse undoes it on every variable.
+    Solvability only over an extension is reported as conditions like
+    "t^2 = 2" rather than decided.
     """
     for inst in (inst1, inst2):
         if inst.family != "danielewski":
@@ -376,8 +402,11 @@ def iso_decide(inst1: FamilyInstance, inst2: FamilyInstance) -> IsoDecision:
     lam, mu = sol
     for (i, j), q in zip(tags, targets):
         assert lam ** j * mu ** (-i) == q
-    witness_core = _iso_witness(norm1, norm2, lam, mu)
-    witness = back2.compose(witness_core.compose(fwd1))
+    zero = Context(["x"]).zero()
+    core = _paired(
+        _triangular(norm1, norm2, AutomorphismData(lam, mu, zero)),
+        _triangular(norm2, norm1, AutomorphismData(1 / lam, 1 / mu, zero)))
+    witness = back2.compose(core.compose(fwd1))
     if not (witness.check() and witness.verify_inverse()):
         raise MorphismError("internal: verified conditions produced a bad witness")
     return IsoDecision("isomorphic", witness=witness, lam=lam, mu=mu)
@@ -433,31 +462,6 @@ def _solve_multiplicative(rows, targets):
         if v[1][idx]:
             mu *= val ** v[1][idx]
     return lam, mu
-
-
-def _iso_witness(norm1, norm2, lam, mu) -> RingMorphism:
-    """The map (x,y,z) -> (lam x, mu y, scaled z + correction), verified."""
-    n, m = norm1.params["n"], norm1.params["m"]
-    P1, P2 = norm1.params["P"], norm2.params["P"]
-    ctx = norm2.ring.ctx
-    x, y, z = ctx.var("x"), ctx.var("y"), ctx.var("z")
-    numer = P1.subs({"x": x * lam, "y": y * mu}, ctx) - P2.lift(ctx) * mu ** m
-    quot = numer.div_exact_var("x", n)
-    images = {"x": x * lam, "y": y * mu,
-              "z": z * (mu ** m / lam ** n) + quot * (1 / lam ** n)}
-    fwd = RingMorphism(norm1.ring, norm2.ring, images)
-    ctx1 = norm1.ring.ctx
-    x1, y1, z1 = ctx1.var("x"), ctx1.var("y"), ctx1.var("z")
-    numer_b = P2.subs({"x": x1 / lam, "y": y1 / mu}, ctx1) \
-        - P1.lift(ctx1) * mu ** -m
-    quot_b = numer_b.div_exact_var("x", n)
-    back = RingMorphism(
-        norm2.ring, norm1.ring,
-        {"x": x1 / lam, "y": y1 / mu,
-         "z": z1 * (lam ** n / mu ** m) + quot_b * lam ** n})
-    fwd.inverse = back
-    back.inverse = fwd
-    return fwd
 
 
 # ------------------------------------------------------------ degree checks

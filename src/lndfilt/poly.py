@@ -178,9 +178,6 @@ class Polynomial:
     def is_constant(self) -> bool:
         return all(mono_deg(m) == 0 for m in self.terms)
 
-    def is_monomial(self) -> bool:
-        return len(self.terms) == 1
-
     def constant_value(self) -> Fraction:
         """The coefficient of the constant term (the value at the origin)."""
         zero = (0,) * len(self.ctx)

@@ -129,11 +129,13 @@ STEPPED = ["lnd-check", "--ring=x,y,z", "--relations=z^2",
 # the Leibniz top term of s^3 z (s = y^2 - x*z, N = 16) cancels, so deg
 # iterates: 7 reductions after the family build's 1
 CANCELLING = "--of=(y^2 - x*z)^3*z"
+# the translation by x^2 costs 3 reductions (y^2 alone with --a=0 costs none)
+TRANSLATING = ["--lam=3", "--mu=2", "--a=1"]
 
 
 @pytest.mark.parametrize("argv", [
     ["deg", *TOY, CANCELLING],
-    ["auto", *DAN2, "--lam=2", "--mu=4"],
+    ["auto", *DAN2, *TRANSLATING],
     STEPPED,
 ])
 def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv):

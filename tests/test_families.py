@@ -203,7 +203,9 @@ def test_ml_evidence():
 
 
 def test_verify_layer_formulas():
-    for inst, deg in ((_dan2(), 12), (_toy(), 12), (_kr2(), 8)):
+    # default cap: plinth degree * (max_degree // lowest degree > 1) + 2 + 4
+    for inst, deg, cap in ((_dan2(), 12, 18), (_toy(), 12, 24), (_kr2(), 8, 22)):
         rep = verify_layer_formulas(inst, max_degree=deg)
         assert rep["mismatches"] == [], inst.family
         assert rep["probes"] > 100
+        assert rep["coefficient_cap"] == cap, inst.family

@@ -6,9 +6,11 @@ from fractions import Fraction
 
 import pytest
 
-from lndfilt.derivations import conjugate
-from lndfilt.families import make_danielewski, make_new_family
+from lndfilt.derivations import RingPresentation, conjugate
+from lndfilt.families import (make_danielewski, make_koras_russell2,
+                              make_new_family)
 from lndfilt.filtration import PreconditionError
+from lndfilt.ideals import Ideal
 from lndfilt.morphisms import (AutomorphismData, CongruenceError,
                                IsoDecision, MorphismError, RingMorphism,
                                build_auto_danielewski, build_auto_newfamily,
@@ -21,6 +23,7 @@ from lndfilt.poly import Context
 XY = Context(("x", "y"))
 XS = Context(("x", "s"))
 XONLY = Context(("x",))
+XZT = Context(("x", "z", "t"))
 
 
 def _xy(text):
@@ -77,6 +80,66 @@ def test_congruence_failure_carries_indices():
     # the congruence lam = mu^2 makes the same shape work
     alpha = build_auto_danielewski(inst, AutomorphismData(4, 2, XONLY.var("x")))
     assert alpha.verify_inverse()
+
+
+def test_verify_inverse_composes_nothing(monkeypatch):
+    inst = _dan("y^2 + 2*y")
+    alpha = build_auto_danielewski(inst, AutomorphismData(5, -1, XONLY.zero()))
+    pair = alpha.inverse
+
+    def refuse(self, inner):
+        raise AssertionError("verify_inverse called compose")
+
+    monkeypatch.setattr(RingMorphism, "compose", refuse)
+    alpha.inverse = None
+    alpha.inverse = pair    # the same object: still accepted
+    assert alpha.verify_inverse()
+    fresh = RingMorphism(inst.ring, inst.ring, alpha.images)
+    back = RingMorphism(inst.ring, inst.ring, pair.images, inverse=fresh)
+    fresh.inverse = back
+    assert fresh.verify_inverse() and back.verify_inverse()
+
+
+def test_wrong_inverse_is_rejected():
+    inst = _dan("y^2")
+    alpha = build_auto_danielewski(inst, AutomorphismData(3, 2, XONLY.one()))
+    other = build_auto_danielewski(inst, AutomorphismData(3, 2, XONLY.zero()))
+    wrong = RingMorphism(inst.ring, inst.ring, other.inverse.images)
+    fresh = RingMorphism(inst.ring, inst.ring, alpha.images, inverse=wrong)
+    assert not fresh.verify_inverse()
+    # alpha is not its own inverse: twice it sends x to 9x
+    assert not RingMorphism(inst.ring, inst.ring, alpha.images,
+                            inverse=alpha).verify_inverse()
+    # a left inverse only: k[x,y,z]/(z) -> k[x,y,z] sends z to 0, and the
+    # identity images undo that on the quotient but not on k[x,y,z]
+    ctx = inst.ring.ctx
+    quotient = RingPresentation(ctx, Ideal(ctx, [ctx.var("z")]))
+    free = RingPresentation(ctx)
+    into = RingMorphism(quotient, free,
+                        {"x": ctx.var("x"), "y": ctx.var("y"), "z": ctx.zero()})
+    into.inverse = RingMorphism(free, quotient, identity_morphism(free).images,
+                                inverse=into)
+    assert into.inverse.apply(into.image_of("z")) == quotient.nf(ctx.var("z"))
+    assert not into.verify_inverse() and not into.inverse.verify_inverse()
+
+
+def test_new_inverse_is_verified_again():
+    inst = _dan("y^2")
+    alpha = build_auto_danielewski(inst, AutomorphismData(3, 2, XONLY.one()))
+    good = alpha.inverse
+    assert alpha.verify_inverse() and good.verify_inverse()
+    alpha.inverse = identity_morphism(inst.ring)
+    assert not alpha.verify_inverse()
+    alpha.inverse = good
+    assert alpha.verify_inverse()
+
+
+def test_verify_inverse_needs_matching_names():
+    inst = _dan("y^2")
+    other = make_koras_russell2(2, 2, 2, parse_polynomial("t^2", XZT))
+    ident = identity_morphism(inst.ring)
+    ident.inverse = identity_morphism(other.ring)
+    assert not ident.verify_inverse()
 
 
 def test_normalize_subleading():
