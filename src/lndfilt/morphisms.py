@@ -101,7 +101,7 @@ class RingMorphism:
                    for nm, img in self.images.items())
 
     def verify_inverse(self) -> bool:
-        """inverse after self and self after inverse fix every variable.
+        """Whether inverse after self and self after inverse fix every variable.
 
         Checked on the variables directly, once per inverse object: both
         maps remember the pair, and assigning a new inverse checks again.

@@ -129,7 +129,7 @@ STEPPED = ["lnd-check", "--ring=x,y,z", "--relations=z^2",
 # the Leibniz top term of s^3 z (s = y^2 - x*z, N = 16) cancels, so deg
 # iterates: 7 reductions after the family build's 1
 CANCELLING = "--of=(y^2 - x*z)^3*z"
-# the translation by x^2 costs 3 reductions (y^2 alone with --a=0 costs none)
+# this build takes 3 reduction steps; --lam=2 --mu=4 alone takes none
 TRANSLATING = ["--lam=3", "--mu=2", "--a=1"]
 
 
