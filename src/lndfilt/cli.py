@@ -301,7 +301,8 @@ def cmd_auto(session, args):
               ["data does not define an automorphism: %s" % e])
         return EXIT_NEGATIVE
     images = {nm: str(alpha.image_of(nm)) for nm in inst.ring.ctx.names}
-    rep = verify_degree_preservation(alpha, inst.derivation, samples=10)
+    rep = verify_degree_preservation(alpha, inst.derivation, samples=10,
+                                     bound=args.nilp_bound)
     payload = {"valid": True, "images": images,
                "inverse_verified": alpha.verify_inverse(),
                "degree_preserved": rep["ok"]}
@@ -400,8 +401,6 @@ def _add_common(sub, nilp_bound=64):
                      help="machine readable output with sorted keys")
     sub.add_argument("--nilp-bound", type=_limit, default=nilp_bound,
                      help="iteration bound for nilpotency and degrees")
-    sub.add_argument("--degree-bound", type=int, default=12,
-                     help="degree bound for searches and probes")
     sub.add_argument("--gb-budget", type=_limit, default=1000000,
                      help="reduction steps allowed for the whole command")
 
@@ -454,6 +453,8 @@ def build_parser() -> _Parser:
     p.set_defaults(func=cmd_gr)
 
     p = subs.add_parser("search", help="bounded search for derivations")
+    p.add_argument("--degree-bound", type=int, default=12,
+                   help="degree bound on the searched images")
     _add_family_flags(p)
     _add_common(p)
     p.set_defaults(func=cmd_search)

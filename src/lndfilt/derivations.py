@@ -307,13 +307,13 @@ class Derivation:
         for m, c in q.terms.items():
             if weights[m] != n:
                 continue
-            den = 1
             term = None
             for e, d, x in zip(m, ords, tops):
                 if e:
-                    den *= factorial(d) ** e
-                    term = x ** e if term is None else term * x ** e
-            t = t + term * (c if den == 1 else Fraction(c, den))
+                    # divide before the power: d!^e can be huge (z^100000000)
+                    f = (x if d < 2 else x / factorial(d)) ** e
+                    term = f if term is None else term * f
+            t = t + term * c
         return n if not self.ring.nf(t).is_zero() else None
 
     def kernel_member(self, p: Polynomial) -> bool:

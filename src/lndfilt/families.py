@@ -11,9 +11,9 @@ Three constructors, each returning a fully verified instance:
   s = Q(x,y) - x^e z, derivation x^e P_s d/dy + (Q_y P_s - x^n) d/dz,
   degrees (0, d, m d) and deg s = 1.
 
-Verification means: declared generator degrees match the iteration oracle,
+Verification means: declared generator degrees match the nilpotency orders,
 the slice really is a local slice, and the plinth generator equals the
-image of the slice and lies in the kernel.  Constructors translate the main
+image of the slice, so lies in the kernel.  Constructors translate the main
 variable by a rational root to put the origin on the hypersurface, and
 reject inputs where no rational translation exists.
 
@@ -32,8 +32,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .derivations import (Derivation, NilpotencyCertificate, RingPresentation)
-from .filtration import (FiltrationSpec, PreconditionError, _bounded_exponents,
-                         _var_index)
+from .filtration import FiltrationSpec, PreconditionError
 from .ideals import Ideal, exact_quotient
 from .linalg import Echelon, nullspace, rational_roots, solve_combination
 from .poly import Context, Polynomial
@@ -55,9 +54,8 @@ class FamilyInstance:
         self.degrees = dict(degrees)
         if not ring.eq(derivation.apply(slice_elem), plinth_gen):
             raise PreconditionError("plinth generator is not the slice image")
-        if not derivation.kernel_member(plinth_gen):
-            raise PreconditionError("plinth generator not in the kernel")
-        # validates kernel membership, the slice and all declared degrees
+        # validates kernel membership, the slice (so D(plinth) = D(D(slice))
+        # = 0) and all declared degrees
         self.filtration = FiltrationSpec(
             derivation, kernel_gens, [slice_elem], degrees,
             slice_names=slice_names)
@@ -427,7 +425,7 @@ def _classify_against_canonical(inst: FamilyInstance, D: Derivation,
 def _quotient_by_linear_solve(inst, target, plinth, degree_bound):
     """f in the span of the kernel monomials of degree <= degree_bound with
     nf(f * plinth) = target, or None when there is none."""
-    cand = _kernel_monomials(inst, degree_bound)
+    cand = [p for _, p in inst.filtration.kernel_products(degree_bound)]
     sol = solve_combination([inst.ring.nf(c * plinth).terms
                              for c in cand], target.terms)
     if sol is None:
@@ -437,20 +435,6 @@ def _quotient_by_linear_solve(inst, target, plinth, degree_bound):
         if c:
             f = f + mono * c
     return f
-
-
-def _kernel_monomials(inst: FamilyInstance, bound: int):
-    """Monomials of total degree <= bound in the kernel generators, which
-    are ring variables in every family."""
-    ctx = inst.ring.ctx
-    kern = [(ctx.index(g.ctx.names[_var_index(g)]), 1) for g in inst.kernel_gens]
-    out = []
-    for expo, _ in _bounded_exponents(kern, bound):
-        mono = [0] * len(ctx)
-        for i, e in expo:
-            mono[i] = e
-        out.append(ctx.monomial(mono))
-    return out
 
 
 def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
@@ -485,7 +469,7 @@ def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
 
     predicted = Echelon()
     predicted_polys = []
-    for mono in _kernel_monomials(inst, degree_cap):
+    for _, mono in inst.filtration.kernel_products(degree_cap):
         q = ring.nf(mono)
         if predicted.add(q.terms):
             predicted_polys.append(q)
@@ -526,54 +510,42 @@ def _stated_layer_generators(inst: FamilyInstance, weight: int):
 
 
 def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12,
-                          zero_cap: int = 2, coeff_cap: int | None = None,
-                          _retry: bool = True) -> dict:
+                          zero_cap: int = 2) -> dict:
     """Check each filtration-coordinate monomial against the closed-form
     layer description: in the stated span of its weight, not in the span
     one lower.
 
-    Module coefficients over the kernel variables are enumerated up to
-    coeff_cap; on a membership miss with the default cap the check retries
-    once with twice the cap before reporting a mismatch.
+    Module coefficients over the kernel variables are enumerated up to a
+    cap derived from the degrees; when a probe misses its stated layer, the
+    check runs once more with twice the cap before reporting mismatches.
     """
     fs = inst.filtration
     ring = inst.ring
-    if coeff_cap is None:
-        # enough kernel-variable degree to express the rewriting chains of
-        # the main variable's power reductions, plus the probe decorations
-        lowest = min(d for d in inst.degrees.values() if d > 1)
-        cap = inst.plinth_gen.degree() * (max_degree // lowest)
-        coeff_cap = cap + zero_cap + 4
+    # enough kernel-variable degree to express the rewriting chains of the
+    # main variable's power reductions, plus the probe decorations
+    lowest = min(d for d in inst.degrees.values() if d > 1)
+    cap = inst.plinth_gen.degree() * (max_degree // lowest) + zero_cap + 4
 
-    zero_vars = [(i, 1) for i, w in enumerate(fs.omega) if w == 0]
     probes: dict = {}
-    for expo, w in _bounded_exponents(fs._positive_vars(), max_degree):
-        for zexpo, _ in _bounded_exponents(zero_vars, zero_cap):
-            mono = fs._monomial_from(list(expo) + list(zexpo))
-            b = ring.nf(fs.ring_element_of(mono))
-            if b.is_zero():
-                continue
-            probes.setdefault(w, []).append((mono, b))
+    for mono, w, b in fs.probes(max_degree, zero_cap):
+        probes.setdefault(w, []).append((mono, b))
 
-    coeff_monos = _kernel_monomials(inst, coeff_cap)
-
-    span = Echelon()
-    mismatches = []
-    for w in range(max_degree + 1):
-        for mono, b in probes.get(w, []):
-            if span.contains(b.terms):
-                mismatches.append((str(mono), w, "already in the layer below"))
-        for gen in _stated_layer_generators(inst, w):
-            for cm in coeff_monos:
-                span.add(ring.nf(cm * gen).terms)
-        for mono, b in probes.get(w, []):
-            if not span.contains(b.terms):
-                mismatches.append((str(mono), w, "not in the stated layer"))
-
-    if mismatches and _retry and any(kind == "not in the stated layer"
-                                     for _, _, kind in mismatches):
-        return verify_layer_formulas(inst, max_degree, zero_cap,
-                                     coeff_cap * 2, _retry=False)
+    for coeff_cap in (cap, 2 * cap):
+        coeff_monos = [p for _, p in fs.kernel_products(coeff_cap)]
+        span = Echelon()
+        mismatches = []
+        for w in range(max_degree + 1):
+            for mono, b in probes.get(w, []):
+                if span.contains(b.terms):
+                    mismatches.append((str(mono), w, "already in the layer below"))
+            for gen in _stated_layer_generators(inst, w):
+                for cm in coeff_monos:
+                    span.add(ring.nf(cm * gen).terms)
+            for mono, b in probes.get(w, []):
+                if not span.contains(b.terms):
+                    mismatches.append((str(mono), w, "not in the stated layer"))
+        if all(kind != "not in the stated layer" for _, _, kind in mismatches):
+            break
     return {
         "max_degree": max_degree,
         "coefficient_cap": coeff_cap,

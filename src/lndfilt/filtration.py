@@ -24,7 +24,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .derivations import Derivation, RingPresentation
+from .derivations import BoundExceeded, Derivation, RingPresentation
 from .ideals import (BudgetExhausted, Ideal, MonomialOrder, binomial_prime,
                      initial_ideal, normal_form)
 from .linalg import solve_combination
@@ -102,8 +102,7 @@ class FiltrationSpec:
     """Derivation, kernel generators, slices and degrees, wired together."""
 
     def __init__(self, derivation: Derivation, kernel_gens, slices,
-                 var_degrees: dict, slice_names=None, kernel_names=None,
-                 validate: bool = True, deg_bound: int | None = None):
+                 var_degrees: dict, slice_names=None, validate: bool = True):
         self.derivation = derivation
         self.ring = derivation.ring
         ctx = self.ring.ctx
@@ -115,23 +114,24 @@ class FiltrationSpec:
                 raise PreconditionError("no declared degree for %s" % nm)
 
         if validate:
-            self._validate(deg_bound)
+            self._validate()
 
         # fresh names for non-variable kernel generators and slices
-        def fresh(base, taken):
-            nm = base
+        taken = set(ctx.names)
+
+        def fresh(nm):
             while nm in taken:
                 nm += "_"
             taken.add(nm)
             return nm
 
-        taken = set(ctx.names)
-        self.kernel_adjoined = []   # (name, defining poly) for non-variable gens
-        for i, z in enumerate(self.kernel_gens):
-            if not _is_variable(z):
-                want = (kernel_names[i] if kernel_names else "z%d" % (i + 1))
-                self.kernel_adjoined.append((fresh(want, taken), z))
-        self.slice_adjoined = []
+        # (name, defining element) per adjoined variable, kernel generators
+        # (weight 0) before slices (weight 1)
+        self.adjoined = [(fresh("z%d" % (i + 1)), z)
+                         for i, z in enumerate(self.kernel_gens)
+                         if not _is_variable(z)]
+        omega = [self.var_degrees[nm] for nm in ctx.names] \
+            + [0] * len(self.adjoined)
         for j, s in enumerate(self.slices):
             if not _is_variable(s):
                 if slice_names:
@@ -140,35 +140,23 @@ class FiltrationSpec:
                     want = "s"
                 else:
                     want = "s%d" % (j + 1)
-                self.slice_adjoined.append((fresh(want, taken), s))
-
-        names = list(ctx.names) + [nm for nm, _ in self.kernel_adjoined] \
-            + [nm for nm, _ in self.slice_adjoined]
-        self.ext_ctx = Context(names)
-
-        omega = []
-        for nm in ctx.names:
-            omega.append(self.var_degrees[nm])
-        omega += [0] * len(self.kernel_adjoined)
-        omega += [1] * len(self.slice_adjoined)
+                self.adjoined.append((fresh(want), s))
+                omega.append(1)
         self.omega = tuple(omega)
-
+        self.ext_ctx = Context(list(ctx.names) + [nm for nm, _ in self.adjoined])
         self.j_order = MonomialOrder.weight(self.omega, self._tiebreak_perm())
+        self.extended_ideal = Ideal(
+            self.ext_ctx, [g.lift(self.ext_ctx) for g in self.ring.relations.gens]
+            + [self.ext_ctx.var(nm) - p.lift(self.ext_ctx)
+               for nm, p in self.adjoined])
 
-        gens = [g.lift(self.ext_ctx) for g in self.ring.relations.gens]
-        for nm, z in self.kernel_adjoined:
-            gens.append(self.ext_ctx.var(nm) - z.lift(self.ext_ctx))
-        for nm, s in self.slice_adjoined:
-            gens.append(self.ext_ctx.var(nm) - s.lift(self.ext_ctx))
-        self.extended_ideal = Ideal(self.ext_ctx, gens)
-
-        self._jhat = None
+        self._jhat_ring = None
         self._properness = None
         self._graded = None
 
     # ------------------------------------------------------------ plumbing
 
-    def _validate(self, deg_bound):
+    def _validate(self):
         D = self.derivation
         for z in self.kernel_gens:
             if z.constant_value() != 0:
@@ -180,14 +168,15 @@ class FiltrationSpec:
                 raise PreconditionError("slice %s nonzero at origin" % s)
             if not D.is_local_slice(s):
                 raise PreconditionError("%s is not a local slice" % s)
+        # a generator's degree is its nilpotency order
+        orders = D.variable_orders()
+        if orders is None:
+            raise BoundExceeded("no nilpotency certificate for default bound")
         for nm in self.ring.ctx.names:
-            want = self.var_degrees[nm]
-            got = D.deg(self.ring.ctx.var(nm), deg_bound)
-            got = 0 if got == NEG_INF else got
-            if got != want:
+            if orders[nm] != self.var_degrees[nm]:
                 raise PreconditionError(
                     "declared degree %d of %s disagrees with oracle %s"
-                    % (want, nm, got))
+                    % (self.var_degrees[nm], nm, orders[nm]))
 
     def _tiebreak_perm(self):
         """Slices first, then positive ring variables, then weight zero,
@@ -195,34 +184,38 @@ class FiltrationSpec:
         kernel variables, which is what the layer dedup wants."""
         ctx = self.ring.ctx
         n_ring = len(ctx)
-        n_kern = len(self.kernel_adjoined)
-        slice_ring_idx = [ctx.index(s.ctx.names[_var_index(s)])
-                          for s in self.slices if _is_variable(s)]
-        slice_adj_idx = list(range(n_ring + n_kern,
-                                   n_ring + n_kern + len(self.slice_adjoined)))
-        first = slice_adj_idx + slice_ring_idx
-        used = set(first)
-        positive = [i for i in range(n_ring)
-                    if self.var_degrees[ctx.names[i]] > 0 and i not in used]
-        zero = [i for i in range(n_ring)
-                if self.var_degrees[ctx.names[i]] == 0 and i not in used]
-        kern_adj = list(range(n_ring, n_ring + n_kern))
-        return first + positive + zero + kern_adj
+        adjoined = range(n_ring, len(self.omega))
+        first = [i for i in adjoined if self.omega[i] == 1] \
+            + [ctx.index(s.ctx.names[_var_index(s)])
+               for s in self.slices if _is_variable(s)]
+        rest = [i for i in range(n_ring) if i not in first]
+        return (first + [i for i in rest if self.omega[i] > 0]
+                + [i for i in rest if self.omega[i] == 0]
+                + [i for i in adjoined if self.omega[i] == 0])
 
     def min_weight_nf(self, p: Polynomial) -> Polynomial:
         """The omega-minimal J-preimage of p, as a normal form."""
-        q = normal_form(p.lift(self.ext_ctx), self.extended_ideal, self.j_order)
-        return q
+        return normal_form(p.lift(self.ext_ctx), self.extended_ideal, self.j_order)
 
     def omega_b(self, p: Polynomial):
         """Induced filtration degree: weight of the minimal preimage."""
         return self.min_weight_nf(p).weighted_degree(self.omega)
 
     def initial_ideal_hat(self) -> Ideal:
-        if self._jhat is None:
-            self._jhat = initial_ideal(
-                self.extended_ideal, self.omega, self.j_order.perm)
-        return self._jhat
+        return self._graded_ring().relations
+
+    def _graded_ring(self) -> RingPresentation:
+        """The extended variables modulo Jhat, built once."""
+        if self._jhat_ring is None:
+            jhat = initial_ideal(self.extended_ideal, self.omega, self.j_order.perm)
+            self._jhat_ring = RingPresentation(self.ext_ctx, jhat, self.j_order)
+        return self._jhat_ring
+
+    def _symbol(self, q: Polynomial) -> Polynomial:
+        """The top form of a minimal-weight normal form q, reduced mod Jhat."""
+        if q.is_zero():
+            return q
+        return self._graded_ring().nf(q.top_form(self.omega))
 
     # ------------------------------------------------------------ properness
 
@@ -251,16 +244,19 @@ class FiltrationSpec:
         self._properness = res
         return res
 
-    def _probe_monomials(self, max_weight: int = 6):
-        out = []
-        for expo, w in _bounded_exponents(self._positive_vars(), max_weight):
-            if w == 0:
-                continue
-            out.append((self._monomial_from(expo), w))
-        return out
-
-    def _positive_vars(self):
-        return [(i, w) for i, w in enumerate(self.omega) if w > 0]
+    def probes(self, max_weight: int, zero_cap: int):
+        """Yield (monomial, weight, nf(b)) for the monomials in the
+        positive-weight coordinates of weight <= max_weight, each times the
+        weight-zero coordinate monomials of total degree <= zero_cap, with b
+        the monomial's element of B; monomials whose b is 0 are skipped."""
+        zero_vars = [(i, 1) for i, w in enumerate(self.omega) if w == 0]
+        positive = [(i, w) for i, w in enumerate(self.omega) if w > 0]
+        for expo, w in _bounded_exponents(positive, max_weight):
+            for zexpo, _ in _bounded_exponents(zero_vars, zero_cap):
+                mono = self._monomial_from(expo + zexpo)
+                b = self.ring.nf(self.ring_element_of(mono))
+                if not b.is_zero():
+                    yield mono, w, b
 
     def _monomial_from(self, expo_pairs) -> Polynomial:
         expo = [0] * len(self.ext_ctx)
@@ -270,19 +266,13 @@ class FiltrationSpec:
 
     def ring_element_of(self, ext_poly: Polynomial) -> Polynomial:
         """Substitute defining polynomials for adjoined variables."""
-        images = {}
-        for nm, z in self.kernel_adjoined:
-            images[nm] = z
-        for nm, s in self.slice_adjoined:
-            images[nm] = s
-        return ext_poly.subs(images, self.ring.ctx)
+        return ext_poly.subs(dict(self.adjoined), self.ring.ctx)
 
     def _empirical_probe(self, samples, seed):
         """Return (reason, witness) on failure, None when all probes pass."""
         D = self.derivation
-        for mono, w in self._probe_monomials():
-            b = self.ring_element_of(mono)
-            if self.ring.nf(b).is_zero():
+        for mono, w, b in self.probes(6, 0):
+            if w == 0:
                 continue
             d_oracle = D.deg(b)
             d_ind = self.omega_b(b)
@@ -327,20 +317,14 @@ class FiltrationSpec:
             raise PreconditionError(
                 "graded presentation requires a proper filtration (%s: %s)"
                 % (check.status, check.reason))
-        jhat = self.initial_ideal_hat()
-        ring = RingPresentation(self.ext_ctx, jhat, self.j_order)
-        self._graded = GradedPresentation(ring, self.omega)
+        self._graded = GradedPresentation(self._graded_ring(), self.omega)
         return self._graded
 
     def gr(self, p: Polynomial) -> GradedElement:
         """Symbol of a ring element in the associated graded ring."""
-        graded = self.graded_presentation()
+        self.graded_presentation()
         q = self.min_weight_nf(p)
-        if q.is_zero():
-            return GradedElement(self.ext_ctx.zero(), NEG_INF)
-        d = q.weighted_degree(self.omega)
-        top = q.top_form(self.omega)
-        return GradedElement(graded.nf(top), d)
+        return GradedElement(self._symbol(q), q.weighted_degree(self.omega))
 
     # ------------------------------------------------------------ layers
 
@@ -352,12 +336,11 @@ class FiltrationSpec:
         module generated (over the weight-zero variables) by an already
         accepted generator of the same weight.
         """
-        graded_nf = self._graded_nf_for_layers()
         cands = []
-        for expo, w in _bounded_exponents(self._positive_vars(), r):
+        positive = [(i, w) for i, w in enumerate(self.omega) if w > 0]
+        for expo, w in _bounded_exponents(positive, r):
             mono = self._monomial_from(expo)
-            canon = graded_nf(mono)
-            cands.append((w, mono, canon))
+            cands.append((w, mono, self._symbol(self.min_weight_nf(mono))))
         zero_idx = [i for i, wt in enumerate(self.omega) if wt == 0]
         zero_set = set(zero_idx)
 
@@ -390,39 +373,17 @@ class FiltrationSpec:
             accepted.append(LayerGenerator(w, mono, canon))
         return accepted
 
-    def _graded_nf_for_layers(self):
-        jhat = self.initial_ideal_hat()
-        graded_ring = RingPresentation(self.ext_ctx, jhat, self.j_order)
-
-        def graded_nf(mono):
-            q = normal_form(mono, self.extended_ideal, self.j_order)
-            if q.is_zero():
-                return q
-            return graded_ring.nf(q.top_form(self.omega))
-        return graded_nf
-
     def layer_equality_check(self, max_degree: int = 12, zero_cap: int = 2):
         """Compare formal weight, minimal-preimage weight and the iteration
-        oracle on monomials in filtration coordinates.
-
-        Monomials run over all positive-weight coordinates with total weight
-        up to max_degree, decorated with weight-zero coordinate factors up to
-        total degree zero_cap (the weight-zero directions are unbounded, so
-        some cap is needed to stay finite).  Returns the list of mismatches.
-        """
+        oracle on the probes (see `probes`; the weight-zero directions are
+        unbounded, so zero_cap keeps them finite).  Returns the mismatches."""
         D = self.derivation
-        zero_vars = [(i, 1) for i, w in enumerate(self.omega) if w == 0]
         mismatches = []
-        for expo, w in _bounded_exponents(self._positive_vars(), max_degree):
-            for zexpo, _ in _bounded_exponents(zero_vars, zero_cap):
-                mono = self._monomial_from(list(expo) + list(zexpo))
-                b = self.ring_element_of(mono)
-                if self.ring.nf(b).is_zero():
-                    continue
-                d_oracle = D.deg(b)
-                d_ind = self.omega_b(b)
-                if not (d_oracle == w == d_ind):
-                    mismatches.append((mono, w, d_oracle, d_ind))
+        for mono, w, b in self.probes(max_degree, zero_cap):
+            d_oracle = D.deg(b)
+            d_ind = self.omega_b(b)
+            if not (d_oracle == w == d_ind):
+                mismatches.append((mono, w, d_oracle, d_ind))
         return mismatches
 
     # ------------------------------------------------------------ gr properties
@@ -506,13 +467,9 @@ class FiltrationSpec:
         """
         graded = self.graded_presentation()
         D = self.derivation
-        gens = []   # (extended var name, element of B)
-        for nm in self.ring.ctx.names:
-            gens.append((nm, self.ring.ctx.var(nm)))
-        for nm, z in self.kernel_adjoined:
-            gens.append((nm, z))
-        for nm, s in self.slice_adjoined:
-            gens.append((nm, s))
+        # (extended variable name, element of B)
+        gens = [(nm, self.ring.ctx.var(nm)) for nm in self.ring.ctx.names] \
+            + self.adjoined
         gaps = {}
         for nm, g in gens:
             dg = D.apply(g)
@@ -545,6 +502,17 @@ class FiltrationSpec:
 
     # ------------------------------------------------------------ slice expansion
 
+    def kernel_products(self, bound: int):
+        """Yield (exponents, product) for the products of the kernel
+        generators of total degree <= bound; exponents are (generator
+        index, exponent > 0) pairs."""
+        kg = self.kernel_gens
+        for expo, _ in _bounded_exponents([(j, 1) for j in range(len(kg))], bound):
+            a = self.ring.ctx.one()
+            for j, e in expo:
+                a = a * kg[j] ** e
+            yield expo, a
+
     def local_slice_expansion(self, f: Polynomial, slice_index: int = 0,
                               kernel_degree_bound: int = 8):
         """Try to write c^i * f as sum a_k s^k with a_k in the kernel algebra,
@@ -559,12 +527,7 @@ class FiltrationSpec:
         i = int(i)
         target = self.ring.nf((c ** i) * f)
         raw = []
-        kg = self.kernel_gens
-        for expo, _ in _bounded_exponents([(j, 1) for j in range(len(kg))],
-                                          kernel_degree_bound):
-            a = self.ring.ctx.one()
-            for j, e in expo:
-                a = a * kg[j] ** e
+        for expo, a in self.kernel_products(kernel_degree_bound):
             for k in range(i + 1):
                 raw.append(((tuple(expo), k), self.ring.nf(a * s ** k)))
         sol = solve_combination([p.terms for _, p in raw], target.terms)

@@ -210,6 +210,21 @@ def test_deg_defaults_to_leibniz_bound(capsys):
     assert err == "budget exhausted: degree iteration exceeded bound 64\n"
 
 
+def test_auto_honours_nilp_bound(capsys):
+    # y has order 1, so its degree check needs one application
+    argv = ["auto", *DAN2, *TRANSLATING]
+    assert run(capsys, argv)[0] == 0
+    code, out, err = run(capsys, [*argv, "--nilp-bound=0"])
+    assert (code, out) == (4, "")
+    assert err == "budget exhausted: degree iteration exceeded bound 0\n"
+
+
+def test_degree_bound_is_a_search_option(capsys):
+    code, out, err = run(capsys, ["gr", *DAN2, "--degree-bound=0"])
+    assert (code, out) == (1, "")
+    assert "unrecognized arguments: --degree-bound=0" in err
+
+
 def test_parser_is_built_once(capsys, monkeypatch):
     from lndfilt import cli
     run(capsys, ["deg", *TOY, "--of", "y"])

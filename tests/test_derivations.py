@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+import tracemalloc
 from fractions import Fraction
 
 import pytest
@@ -248,6 +249,20 @@ def test_top_iterates_are_the_derivations_own():
         for nm, top in zip(D.ring.ctx.names, tops):
             assert top == D.iterate(D.ring.ctx.var(nm), orders[nm])
             assert D.kernel_member(top)
+
+
+def test_top_term_of_a_huge_power_stays_small():
+    # orders x:0, y:1, z:2 and D^2(z) = 2 x^2, so T = (D^2(z)/2!)^e = x^(2e);
+    # 2!^e and (2 x^2)^e would each hold a number of 10^8 bits
+    D = make_danielewski(2, parse_polynomial("y^2", Context(("x", "y")))).derivation
+    q = D.ring.ctx.var("z") ** 100000000
+    tracemalloc.start()
+    try:
+        assert D.deg(q) == 200000000
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 * 2 ** 20
 
 
 def test_certificate_with_a_generator_that_normalises_to_zero():

@@ -4,9 +4,9 @@ from __future__ import annotations
 
 import pytest
 
-from lndfilt.derivations import Derivation, RingPresentation
-from lndfilt.families import (make_danielewski, make_koras_russell2,
-                              make_new_family)
+from lndfilt.derivations import BoundExceeded, Derivation, RingPresentation
+from lndfilt.families import (FamilyInstance, make_danielewski,
+                              make_koras_russell2, make_new_family)
 from lndfilt.filtration import FiltrationSpec, PreconditionError
 from lndfilt.ideals import Budget, Ideal
 from lndfilt.parser import parse_polynomial
@@ -101,6 +101,18 @@ def test_improper_detected_empirically():
     assert "disagrees with oracle" in res.reason
 
 
+def test_empirical_probe_checks_sampled_products():
+    # no positive-weight probes here, so only the sampled pairs can fail:
+    # x * y = 0 in k[x,y]/(x*y), while both factors have weight 0
+    ring = RingPresentation(XY, Ideal(XY, [_p("x*y", XY)]))
+    zero = Derivation(ring, [XY.zero(), XY.zero()])
+    fs = FiltrationSpec(zero, kernel_gens=[XY.var("x"), XY.var("y")],
+                        slices=[], var_degrees={"x": 0, "y": 0})
+    reason, (a, b) = fs._empirical_probe(25, 1)
+    assert reason == "product degree -inf != 0 + 0"
+    assert ring.is_zero(a * b)
+
+
 def test_properness_undecided_on_tiny_budget():
     fs = _toy().filtration
     with Budget(1):
@@ -124,6 +136,39 @@ def test_validation_rejects_bad_specs():
         FiltrationSpec(D, [x], [z], {"x": 0, "y": 1, "z": 2})
     with pytest.raises(PreconditionError, match="nonzero at origin"):
         FiltrationSpec(D, [x + 1], [y], {"x": 0, "y": 1, "z": 2})
+    # z -> z is never nilpotent, so z has no order to check a degree against
+    free = RingPresentation(XYZ)
+    with pytest.raises(BoundExceeded):
+        FiltrationSpec(Derivation(free, [XYZ.zero(), _p("x^2"), z]),
+                       [x], [y], {"x": 0, "y": 1, "z": 1})
+    with pytest.raises(PreconditionError,
+                       match="plinth generator is not the slice image"):
+        FamilyInstance("danielewski", {}, ring, D, [x], y, _p("x^3"),
+                       {"x": 0, "y": 1, "z": 2})
+
+
+def test_probes_in_enumeration_order():
+    # positive coordinates y, z, s in weight order, each times 1 and x
+    got = [(str(m), w, str(b)) for m, w, b in _toy().filtration.probes(4, 1)]
+    assert got == [
+        ("1", 0, "1"), ("x", 0, "x"), ("y", 2, "y"), ("x*y", 2, "x*y"),
+        ("y^2", 4, "y^2"), ("x*y^2", 4, "x*y^2"), ("z", 4, "z"),
+        ("x*z", 4, "x*z"), ("s", 1, "-x*z + y^2"),
+        ("x*s", 1, "-x^2*z + x*y^2"), ("s^2", 2, "x^2*y"),
+        ("x*s^2", 2, "x^3*y"), ("s^3", 3, "-x^3*y*z + x^2*y^3"),
+        ("x*s^3", 3, "-x^4*y*z + x^3*y^3"), ("s^4", 4, "x^4*y^2"),
+        ("x*s^4", 4, "x^5*y^2"), ("y*s", 3, "-x*y*z + y^3"),
+        ("x*y*s", 3, "-x^2*y*z + x*y^3"), ("y*s^2", 4, "x^2*y^2"),
+        ("x*y*s^2", 4, "x^3*y^2")]
+
+
+def test_kernel_products_in_enumeration_order():
+    inst = make_koras_russell2(2, 2, 2,
+                               parse_polynomial("t^2", Context(("x", "z", "t"))))
+    got = [(expo, str(p)) for expo, p in inst.filtration.kernel_products(2)]
+    assert got == [([], "1"), ([(0, 1)], "x"), ([(0, 2)], "x^2"),
+                   ([(1, 1)], "z"), ([(1, 2)], "z^2"),
+                   ([(0, 1), (1, 1)], "x*z")]
 
 
 def test_graded_presentation_of_toy():
