@@ -28,7 +28,8 @@ import shlex
 import sys
 from fractions import Fraction
 
-from .derivations import BoundExceeded, Derivation, NotWellDefined, RingPresentation
+from .derivations import (BoundExceeded, Derivation, NonNilpotencyCertifier,
+                          NotWellDefined, RingPresentation)
 from .families import (bounded_lnd_search, make_danielewski,
                        make_koras_russell2, make_new_family)
 from .filtration import PreconditionError
@@ -186,6 +187,12 @@ def cmd_lnd_check(session, args):
         except NotWellDefined as e:
             _emit(args, {"well_defined": False, "reason": str(e)},
                   ["not a derivation of the quotient: %s" % e])
+            return EXIT_NEGATIVE
+        refuted = NonNilpotencyCertifier(D.ring).certify(D)
+        if refuted is not None:
+            _emit(args, {"well_defined": True, "locally_nilpotent": False,
+                         "certificate": refuted.describe()},
+                  ["not locally nilpotent: %s" % refuted])
             return EXIT_NEGATIVE
     else:
         D = _resolve_instance(session, args).derivation

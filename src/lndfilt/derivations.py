@@ -47,6 +47,21 @@ the order computation and unpacked once) and one normal form.  When the
 top terms cancel, as for s = y^2 - x*z on the new family (N = 4, degree 1),
 `deg` falls back to the loop; so it does when N exceeds an explicit bound,
 since bound + 1 applications can cost far less than T (z^3000000000).
+
+A "no" needs no iteration when an exact certificate gives it.
+`NonNilpotencyCertifier` holds two, built once per ring and run on each
+derivation before `is_locally_nilpotent`:
+
+* tangent map: when every relation and every image D(x_i) vanishes at the
+  origin, D maps m = (x_1..x_n) into itself and induces a linear map on
+  m/m^2 = k^n / (span of the relations' linear parts), sending x_i to the
+  linear part of D(x_i).  For an LND each class is killed by some power of
+  that map, so a map that is not nilpotent certifies "not LND";
+* divisibility: on a domain, f | D(f) forces D(f) = 0 for an LND
+  (Freudenburg, Algebraic Theory of Locally Nilpotent Derivations, ch. 1),
+  so a generator x_i with D(x_i) != 0 and D(x_i) in (x_i) + I certifies
+  "not LND".  It runs only where `certified_domain` accepts the
+  presentation.
 """
 
 from __future__ import annotations
@@ -58,6 +73,7 @@ from math import factorial
 
 from .ideals import (Ideal, MonomialOrder, Packing, _budget, _steps_left,
                      normal_form)
+from .linalg import Echelon
 from .poly import NEG_INF, Context, Polynomial
 
 
@@ -328,6 +344,133 @@ class Derivation:
         ims = ", ".join("%s->%s" % (nm, im)
                         for nm, im in zip(self.ring.ctx.names, self.images))
         return "Derivation(%s)" % ims
+
+
+# ------------------------------------------------ non-nilpotency certificates
+
+def certified_domain(ring: RingPresentation) -> bool:
+    """True when the presentation is certified to be a domain.
+
+    The one rule: no relations, or one relation f = a*v + b where the
+    variable v occurs in neither a nor b, a is a nonzero monomial (a
+    constant counts) and no variable of a divides b.  Then f is linear in v
+    and primitive over the other variables (a monomial and b share a factor
+    only through a variable of a that divides b), so f is irreducible by
+    Gauss's lemma and (f) is prime in the factorial ring k[x].
+    """
+    gens = ring.relations.gens
+    if not gens:
+        return True
+    if len(gens) > 1:
+        return False
+    f = gens[0]
+    for nm in ring.ctx.names:
+        if f.degree_in(nm) != 1:
+            continue
+        coeffs = f.coeffs_in(nm)
+        a = coeffs[1]
+        b = coeffs[0].terms if 0 in coeffs else {}
+        if a.num_terms() != 1:
+            continue
+        (ma,) = a.terms
+        if not any(all(m[j] for m in b) for j, e in enumerate(ma) if e):
+            return True
+    return False
+
+
+def _linear_part(p: Polynomial) -> Polynomial:
+    return Polynomial(p.ctx, {m: c for m, c in p.terms.items() if sum(m) == 1})
+
+
+@dataclass
+class NonNilpotencyCertificate:
+    """An exact reason why a derivation is not locally nilpotent: a
+    generator dividing its nonzero image in a domain ("divisibility"), or a
+    tangent map at the origin that is not nilpotent ("tangent"), given by
+    each generator's linear part."""
+    kind: str
+    generator: str | None = None
+    image: Polynomial | None = None
+    linear_map: dict | None = None
+
+    def describe(self) -> dict:
+        if self.kind == "divisibility":
+            return {"kind": self.kind, "generator": self.generator,
+                    "image": str(self.image)}
+        return {"kind": self.kind,
+                "linear_map": {nm: str(p) for nm, p in self.linear_map.items()}}
+
+    def __str__(self):
+        if self.kind == "divisibility":
+            return ("%s divides its nonzero image %s in a domain"
+                    % (self.generator, self.image))
+        return ("the tangent map %s at the origin is not nilpotent"
+                % ", ".join("%s -> %s" % kv for kv in self.linear_map.items()))
+
+
+class NonNilpotencyCertifier:
+    """The certificates of the module docstring for derivations of one ring.
+
+    Built once per ring: the span of the relations' linear parts, and on a
+    certified domain one ideal (x_i) + I per generator, whose Groebner basis
+    is computed on first use and cached on it.  Reductions draw from the
+    active budget."""
+
+    __slots__ = ("ring", "_at_origin", "_linear_rels", "_divisors")
+
+    def __init__(self, ring: RingPresentation):
+        self.ring = ring
+        ctx = ring.ctx
+        rels = ring.relations.gens
+        self._at_origin = all((0,) * len(ctx) not in g.terms for g in rels)
+        self._linear_rels = Echelon()
+        for g in rels:
+            self._linear_rels.add(_linear_part(g).terms)
+        self._divisors = ([Ideal(ctx, [x, *rels]) for x in ctx.gens()]
+                          if certified_domain(ring) else None)
+
+    def certify(self, D: Derivation) -> NonNilpotencyCertificate | None:
+        """A certificate that D is not locally nilpotent, or None."""
+        return self._tangent(D) or self._divisibility(D)
+
+    def _tangent(self, D: Derivation):
+        ctx = self.ring.ctx
+        zero = (0,) * len(ctx)
+        if not self._at_origin or any(zero in img.terms for img in D.images):
+            return None
+        # rows are keyed by the monomials x_i, as polynomial terms are
+        lin = {next(iter(x.terms)): _linear_part(img)
+               for x, img in zip(ctx.gens(), D.images)}
+        rels = self._linear_rels
+        # the map is nilpotent iff its dim(m/m^2)-th power sends every x_i
+        # into the relations' span; each power is reduced modulo that span
+        vecs = [{e: 1} for e in lin]
+        for _ in range(len(lin) - rels.dim()):
+            nxt = []
+            for v in vecs:
+                out: dict = {}
+                for e, c in v.items():
+                    for f, a in lin[e].terms.items():
+                        out[f] = out.get(f, 0) + c * a
+                rest = rels.reduce(out)[0]
+                if rest:
+                    nxt.append(rest)
+            vecs = nxt
+        if not vecs:
+            return None
+        return NonNilpotencyCertificate(
+            "tangent", linear_map=dict(zip(ctx.names, lin.values())))
+
+    def _divisibility(self, D: Derivation):
+        if self._divisors is None:
+            return None
+        order = self.ring.order
+        for nm, img, ideal in zip(self.ring.ctx.names, D.images, self._divisors):
+            # images are normal forms, so a nonzero one is nonzero in B
+            if not img.is_zero() and normal_form(img, ideal, order).is_zero():
+                return NonNilpotencyCertificate("divisibility", generator=nm,
+                                                image=img)
+        return None
 
 
 def _reduce_packed(work: dict, red, guard: int, step) -> dict:

@@ -31,7 +31,8 @@ import random
 from dataclasses import dataclass, field
 from fractions import Fraction
 
-from .derivations import (Derivation, NilpotencyCertificate, RingPresentation)
+from .derivations import (Derivation, NilpotencyCertificate,
+                          NonNilpotencyCertifier, RingPresentation)
 from .filtration import FiltrationSpec, PreconditionError
 from .ideals import Ideal, exact_quotient
 from .linalg import Echelon, nullspace, rational_roots, solve_combination
@@ -291,7 +292,9 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
     Each test runs on the multiple of the candidate that clears the
     denominators of its image coefficients, which has the same nilpotency
     orders and iterates of the same sizes, so the iteration stays in
-    integers as far as the relations allow.
+    integers as far as the relations allow.  A candidate that an exact
+    non-nilpotency certificate (`NonNilpotencyCertifier`) rejects is never
+    iterated; it counts as rejected all the same.
     """
     if image_degree_bound < 1 or nilp_bound < 1:
         raise PreconditionError("bounds must be at least 1")
@@ -332,6 +335,7 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
 
     result = LndSearchResult(solution_dimension=len(basis))
     seen_keys = set()
+    refuter = NonNilpotencyCertifier(ring)
 
     def consider(vec, source):
         D = vector_to_derivation(vec)
@@ -346,7 +350,9 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
         if scale != 1:
             cleared = Derivation(ring, [img * scale for img in D.images],
                                  check=False)
-        cert = cleared.is_locally_nilpotent(nilp_bound, term_guard)
+        cert = None
+        if refuter.certify(cleared) is None:
+            cert = cleared.is_locally_nilpotent(nilp_bound, term_guard)
         if cert is None:
             result.rejected += 1
             return None

@@ -474,14 +474,21 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None) -> Binomial
     coefficients +1/-1; the ideal must equal its saturation with respect to
     the product of all variables (lattice-ideal certificate); then the ideal
     is prime exactly when all elementary divisors of the exponent-difference
-    lattice are 1.  Anything outside that shape is reported inapplicable,
-    never guessed.
+    lattice are 1.  A monomial of degree >= 2 in the reduced basis is
+    reported not-prime: it is a product x_i * m' with x_i and m' outside
+    the ideal, since either one in it would have a leading monomial dividing
+    that element's own, which a reduced basis rules out.  Anything else
+    outside that shape is reported inapplicable, never guessed.
     """
     if order is None:
         order = MonomialOrder.grlex(len(ideal.ctx))
     gb = ideal.groebner(order)
     if not gb:
         return BinomialPrimality("prime", "zero ideal", saturation_certified=True)
+    for g in gb:
+        if len(g.terms) == 1 and g.degree() >= 2:
+            return BinomialPrimality(
+                "not-prime", "basis element %s is a monomial of degree >= 2" % g)
     rows = []
     for g in gb:
         if len(g.terms) != 2:

@@ -86,8 +86,16 @@ def test_lnd_check_custom_not_well_defined(capsys):
 
 
 def test_lnd_check_custom_non_nilpotent(capsys):
+    # the Euler derivation x d/dx: its tangent map x -> x is not nilpotent
     code, out, _ = run(capsys, ["lnd-check", "--ring", "x",
                                 "--images", "x", "--nilp-bound", "12"])
+    assert code == 5
+    assert out == ("not locally nilpotent: the tangent map x -> x at the "
+                   "origin is not nilpotent\n")
+    # (1 + x) d/dx moves the origin and x does not divide 1 + x, so no
+    # certificate applies and only the bound can end the iteration
+    code, out, _ = run(capsys, ["lnd-check", "--ring", "x",
+                                "--images", "1 + x", "--nilp-bound", "12"])
     assert code == 4
     assert "no nilpotency certificate" in out
 

@@ -86,14 +86,29 @@ def test_improper_detected_by_binomial_route():
         fs.graded_presentation()
 
 
-def test_improper_detected_empirically():
-    # wrong declared degrees on x^2 z = y^4: deg z is 4, not 2, and the
-    # monomial probe y^4 exposes the mismatch
+def test_improper_detected_by_a_monomial_initial_ideal():
+    # wrong declared degrees on x^2 z = y^4: deg z is 4, not 2, so Jhat is
+    # (y^4), and y * y^3 lies in it while neither factor does
     ring = RingPresentation(XYZ, Ideal(XYZ, [_p("x^2*z - y^4")]))
     D = Derivation(ring, [XYZ.zero(), _p("x^2"), _p("4*y^3")])
     assert D.variable_orders() == {"x": 0, "y": 1, "z": 4}
     fs = FiltrationSpec(D, kernel_gens=[XYZ.var("x")], slices=[XYZ.var("y")],
                         var_degrees={"x": 0, "y": 1, "z": 2}, validate=False)
+    res = fs.properness_check()
+    assert res.status == "improper"
+    assert res.method == "binomial-prime"
+    assert res.certificate.status == "not-prime"
+
+
+def test_improper_detected_empirically():
+    # declared degrees twice the true ones on x^2 z = 2 y^4: the top form
+    # x^2 z - 2 y^4 is no pure difference, so the empirical route runs, and
+    # the probe y (degree 1, weight 2) exposes the mismatch
+    ring = RingPresentation(XYZ, Ideal(XYZ, [_p("x^2*z - 2*y^4")]))
+    D = Derivation(ring, [XYZ.zero(), _p("x^2"), _p("8*y^3")])
+    assert D.variable_orders() == {"x": 0, "y": 1, "z": 4}
+    fs = FiltrationSpec(D, kernel_gens=[XYZ.var("x")], slices=[XYZ.var("y")],
+                        var_degrees={"x": 0, "y": 2, "z": 8}, validate=False)
     res = fs.properness_check()
     assert res.status == "improper"
     assert res.method == "empirical"
@@ -111,6 +126,19 @@ def test_empirical_probe_checks_sampled_products():
     reason, (a, b) = fs._empirical_probe(25, 1)
     assert reason == "product degree -inf != 0 + 0"
     assert ring.is_zero(a * b)
+
+
+def test_zero_product_ring_is_improper_by_certificate():
+    # the sampled products at the default seed contain no zero product
+    # here, so only the monomial x*y in Jhat's basis can settle it
+    ring = RingPresentation(XY, Ideal(XY, [_p("x*y", XY)]))
+    zero = Derivation(ring, [XY.zero(), XY.zero()])
+    fs = FiltrationSpec(zero, kernel_gens=[XY.var("x"), XY.var("y")],
+                        slices=[], var_degrees={"x": 0, "y": 0})
+    assert fs._empirical_probe(25, 1123) is None
+    res = fs.properness_check()
+    assert (res.status, res.method) == ("improper", "binomial-prime")
+    assert res.certificate.status == "not-prime"
 
 
 def test_properness_undecided_on_tiny_budget():

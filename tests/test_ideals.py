@@ -147,6 +147,18 @@ def test_binomial_not_prime():
     assert 2 in res.divisors
 
 
+def test_monomial_of_degree_two_is_not_prime():
+    xy = Context(("x", "y"))
+    res = binomial_prime(Ideal(xy, [parse_polynomial("x*y", xy)]))
+    assert res.status == "not-prime"
+    assert "monomial" in res.reason
+    assert binomial_prime(Ideal(xy, [parse_polynomial("x^2", xy)])).status \
+        == "not-prime"
+    # a variable alone generates a prime ideal; the test does not apply
+    assert binomial_prime(Ideal(xy, [parse_polynomial("x", xy)])).status \
+        == "inapplicable"
+
+
 def test_binomial_inapplicable_cases():
     xy = Context(("x", "y"))
     tri = binomial_prime(Ideal(xy, [parse_polynomial("x^2 + x*y + y^2", xy)]))
