@@ -8,8 +8,10 @@ from fractions import Fraction
 
 import pytest
 
-from lndfilt.derivations import (BoundExceeded, Derivation, NotWellDefined,
-                                 RingPresentation)
+from lndfilt import cli
+from lndfilt.derivations import (BoundExceeded, Derivation,
+                                 NonNilpotencyCertifier, NotWellDefined,
+                                 RingPresentation, certified_domain)
 from lndfilt.families import (bounded_lnd_search, make_danielewski,
                               make_koras_russell2, make_new_family)
 from lndfilt.ideals import Ideal
@@ -298,3 +300,110 @@ def test_certificate_on_search_candidates_with_cleared_orders():
         for _ in range(10):
             _check_certificate(D, _rational(
                 random_polynomial(D.ring.ctx, rng, max_degree=3), rng))
+
+
+# ------------------------------------------------ non-nilpotency certificates
+
+@pytest.mark.parametrize("relations, domain", [
+    ([], True),
+    (["x^2*z - y^2"], True),         # v = z, a = x^2, b = -y^2
+    (["z - y^2"], True),             # a constant a counts
+    (["2*y"], True),                 # b = 0 with a constant a
+    (["x*y"], False),                # y | b = 0, and x | b = 0
+    (["x*z - x*y"], False),          # x divides b = -x*y
+    (["x^2"], False),                # no variable of degree one
+    (["x^2*z - y^2", "x - y"], False),
+    (["y*(x + z)^2 - x"], False),    # a = (x + z)^2 is no monomial
+])
+def test_certified_domain_rule(relations, domain):
+    ring = RingPresentation(XYZ, Ideal(XYZ, [_p(r) for r in relations]))
+    assert certified_domain(ring) is domain
+
+
+def test_tangent_and_divisibility_certificates():
+    xy = Context(("x", "y"))
+    swap = Derivation(RingPresentation(xy), [xy.var("y"), xy.var("x")])
+    cert = NonNilpotencyCertifier(swap.ring).certify(swap)
+    assert cert.kind == "tangent"
+    assert cert.describe() == {"kind": "tangent",
+                               "linear_map": {"x": "y", "y": "x"}}
+    # B = k[x] as k[x,y]/(y - x^2), D = x^2 d/dx: the tangent map x -> y
+    # is zero modulo the relation's linear part y, but x divides D(x) = y
+    ring = RingPresentation(xy, Ideal(xy, [_p("y - x^2", xy)]))
+    D = Derivation(ring, [_p("y", xy), _p("2*x*y", xy)])
+    cert = NonNilpotencyCertifier(ring).certify(D)
+    assert cert.describe() == {"kind": "divisibility", "generator": "x",
+                               "image": "y"}
+    assert D.is_locally_nilpotent(16) is None
+    # an LND passes both; so does a non-LND that moves the origin
+    assert NonNilpotencyCertifier(_surface_ring()).certify(
+        _surface_derivation()) is None
+    shift = Derivation(RingPresentation(xy), [_p("1 + x", xy), xy.zero()])
+    assert NonNilpotencyCertifier(shift.ring).certify(shift) is None
+
+
+def test_divisibility_needs_a_domain():
+    # k[x,y]/(x^2) is no domain: y divides D(y) = x*y != 0, yet D is an LND
+    # (D^2(y) = x^2*y = 0); the certificate must not fire there
+    argv = ["lnd-check", "--ring=x,y", "--relations=x^2", "--images=0;x*y"]
+    assert cli.main(argv) == 0
+
+
+# every search instance of the benchmark's search workload at seeds 1 and
+# 2, then the search lines of the golden corpus
+SEARCHES = [
+    ["--family=danielewski", "--n=2", "--P=y^3 - 3*x*y",
+     "--degree-bound=2", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=3", "--P=-3*x*y + y^2",
+     "--degree-bound=2", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=3", "--P=y^3 - x^2",
+     "--degree-bound=2", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=3", "--P=2*x*y + y^2",
+     "--degree-bound=3", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=4", "--P=2*x^3*y + y^2",
+     "--degree-bound=4", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=2", "--P=y^3 + x*y",
+     "--degree-bound=2", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=3", "--P=-x*y + y^2",
+     "--degree-bound=2", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=3", "--P=y^3 + x^2",
+     "--degree-bound=2", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=3", "--P=-3*x*y + y^2",
+     "--degree-bound=3", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=4", "--P=-3*x^3*y + y^2",
+     "--degree-bound=4", "--nilp-bound=12"],
+    ["--family=danielewski", "--n=2", "--P=y^2", "--degree-bound=2",
+     "--nilp-bound=8"],
+    ["--family=kr2", "--n=2", "--e=3", "--l=2", "--Q=t^2 + x + z*t",
+     "--degree-bound=2", "--nilp-bound=8"],
+    ["--family=new", "--n=2", "--e=1", "--P=s^2", "--Q=y^2",
+     "--degree-bound=2", "--nilp-bound=8"],
+]
+
+
+@pytest.mark.parametrize("argv", SEARCHES)
+def test_certified_rejections_fail_iteration(argv, monkeypatch):
+    """Differential check of the certificates against iteration: each
+    candidate they reject also fails `is_locally_nilpotent` at bound 64,
+    and each accepted candidate passes both.  The iteration keeps the
+    search's term guard of 300: without it, bound 64 takes more than 100 s
+    on the first instance alone."""
+    args = cli._parser().parse_args(["search", *argv])
+    inst = cli._build_instance(args)
+    verdicts = []
+    certify = NonNilpotencyCertifier.certify
+
+    def recorded(self, D):
+        cert = certify(self, D)
+        verdicts.append((D, cert))
+        return cert
+
+    monkeypatch.setattr(NonNilpotencyCertifier, "certify", recorded)
+    res = bounded_lnd_search(inst, args.degree_bound, args.nilp_bound)
+    refuted = [D for D, cert in verdicts if cert is not None]
+    assert refuted
+    for D in refuted:
+        assert D.is_locally_nilpotent(64, term_guard=300) is None, D
+    certifier = NonNilpotencyCertifier(inst.ring)
+    for cand in res.candidates:
+        assert certify(certifier, cand.derivation) is None, cand.derivation
