@@ -191,8 +191,8 @@ def cmd_lnd_check(session, args):
         refuted = NonNilpotencyCertifier(D.ring).certify(D)
         if refuted is not None:
             _emit(args, {"well_defined": True, "locally_nilpotent": False,
-                         "certificate": refuted.describe()},
-                  ["not locally nilpotent: %s" % refuted])
+                         "certificate": refuted.data},
+                  ["not locally nilpotent: %s" % refuted.text])
             return EXIT_NEGATIVE
     else:
         D = _resolve_instance(session, args).derivation

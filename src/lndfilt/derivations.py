@@ -384,28 +384,11 @@ def _linear_part(p: Polynomial) -> Polynomial:
 
 @dataclass
 class NonNilpotencyCertificate:
-    """An exact reason why a derivation is not locally nilpotent: a
-    generator dividing its nonzero image in a domain ("divisibility"), or a
-    tangent map at the origin that is not nilpotent ("tangent"), given by
-    each generator's linear part."""
-    kind: str
-    generator: str | None = None
-    image: Polynomial | None = None
-    linear_map: dict | None = None
-
-    def describe(self) -> dict:
-        if self.kind == "divisibility":
-            return {"kind": self.kind, "generator": self.generator,
-                    "image": str(self.image)}
-        return {"kind": self.kind,
-                "linear_map": {nm: str(p) for nm, p in self.linear_map.items()}}
-
-    def __str__(self):
-        if self.kind == "divisibility":
-            return ("%s divides its nonzero image %s in a domain"
-                    % (self.generator, self.image))
-        return ("the tangent map %s at the origin is not nilpotent"
-                % ", ".join("%s -> %s" % kv for kv in self.linear_map.items()))
+    """An exact reason why a derivation is not locally nilpotent: `data` for
+    JSON output, naming the kind and the generator or linear map, and `text`
+    for a reader."""
+    data: dict
+    text: str
 
 
 class NonNilpotencyCertifier:
@@ -443,8 +426,9 @@ class NonNilpotencyCertifier:
                for x, img in zip(ctx.gens(), D.images)}
         rels = self._linear_rels
         # the map is nilpotent iff its dim(m/m^2)-th power sends every x_i
-        # into the relations' span; each power is reduced modulo that span
-        vecs = [{e: 1} for e in lin]
+        # into the relations' span; the x_i and each power are reduced
+        # modulo that span, so an m/m^2 of dimension 0 certifies nothing
+        vecs = [r for e in lin if (r := rels.reduce({e: 1})[0])]
         for _ in range(len(lin) - rels.dim()):
             nxt = []
             for v in vecs:
@@ -458,8 +442,11 @@ class NonNilpotencyCertifier:
             vecs = nxt
         if not vecs:
             return None
+        pairs = dict(zip(ctx.names, map(str, lin.values())))
         return NonNilpotencyCertificate(
-            "tangent", linear_map=dict(zip(ctx.names, lin.values())))
+            {"kind": "tangent", "linear_map": pairs},
+            "the tangent map %s at the origin is not nilpotent"
+            % ", ".join("%s -> %s" % kv for kv in pairs.items()))
 
     def _divisibility(self, D: Derivation):
         if self._divisors is None:
@@ -468,8 +455,10 @@ class NonNilpotencyCertifier:
         for nm, img, ideal in zip(self.ring.ctx.names, D.images, self._divisors):
             # images are normal forms, so a nonzero one is nonzero in B
             if not img.is_zero() and normal_form(img, ideal, order).is_zero():
-                return NonNilpotencyCertificate("divisibility", generator=nm,
-                                                image=img)
+                return NonNilpotencyCertificate(
+                    {"kind": "divisibility", "generator": nm,
+                     "image": str(img)},
+                    "%s divides its nonzero image %s in a domain" % (nm, img))
         return None
 
 

@@ -19,6 +19,7 @@ from lndfilt.parser import parse_polynomial
 from lndfilt.poly import NEG_INF, Context, Polynomial, random_polynomial
 
 XYZ = Context(("x", "y", "z"))
+X = Context(("x",))
 
 
 def _p(text, ctx=XYZ):
@@ -324,16 +325,17 @@ def test_tangent_and_divisibility_certificates():
     xy = Context(("x", "y"))
     swap = Derivation(RingPresentation(xy), [xy.var("y"), xy.var("x")])
     cert = NonNilpotencyCertifier(swap.ring).certify(swap)
-    assert cert.kind == "tangent"
-    assert cert.describe() == {"kind": "tangent",
-                               "linear_map": {"x": "y", "y": "x"}}
+    assert cert.data == {"kind": "tangent",
+                         "linear_map": {"x": "y", "y": "x"}}
+    assert cert.text == ("the tangent map x -> y, y -> x at the origin is "
+                         "not nilpotent")
     # B = k[x] as k[x,y]/(y - x^2), D = x^2 d/dx: the tangent map x -> y
     # is zero modulo the relation's linear part y, but x divides D(x) = y
     ring = RingPresentation(xy, Ideal(xy, [_p("y - x^2", xy)]))
     D = Derivation(ring, [_p("y", xy), _p("2*x*y", xy)])
     cert = NonNilpotencyCertifier(ring).certify(D)
-    assert cert.describe() == {"kind": "divisibility", "generator": "x",
-                               "image": "y"}
+    assert cert.data == {"kind": "divisibility", "generator": "x",
+                         "image": "y"}
     assert D.is_locally_nilpotent(16) is None
     # an LND passes both; so does a non-LND that moves the origin
     assert NonNilpotencyCertifier(_surface_ring()).certify(
@@ -347,6 +349,17 @@ def test_divisibility_needs_a_domain():
     # (D^2(y) = x^2*y = 0); the certificate must not fire there
     argv = ["lnd-check", "--ring=x,y", "--relations=x^2", "--images=0;x*y"]
     assert cli.main(argv) == 0
+
+
+@pytest.mark.parametrize("relations", ["x", "x - x^2"])
+def test_tangent_map_on_a_zero_cotangent_space(relations):
+    # the relation's linear part x spans k^1, so m/m^2 = 0 and the zero
+    # derivation (an LND) has nothing to certify
+    argv = ["lnd-check", "--ring=x", "--relations=" + relations, "--images=0"]
+    assert cli.main(argv) == 0
+    ring = RingPresentation(X, Ideal(X, [_p(relations, X)]))
+    assert NonNilpotencyCertifier(ring).certify(
+        Derivation(ring, [X.zero()])) is None
 
 
 # every search instance of the benchmark's search workload at seeds 1 and
