@@ -28,15 +28,14 @@ import shlex
 import sys
 from fractions import Fraction
 
+from . import families, morphisms
 from .derivations import (BoundExceeded, Derivation, NonNilpotencyCertifier,
                           NotWellDefined, RingPresentation)
-from .families import (bounded_lnd_search, make_danielewski,
-                       make_koras_russell2, make_new_family)
+from .families import FAMILIES, bounded_lnd_search, make_danielewski
 from .filtration import PreconditionError
 from .ideals import Budget, BudgetExhausted, Ideal
-from .morphisms import (AutomorphismData, MorphismError,
-                        build_auto_danielewski, build_auto_newfamily,
-                        iso_decide, verify_degree_preservation)
+from .morphisms import (AutomorphismData, MorphismError, iso_decide,
+                        verify_degree_preservation)
 from .parser import ParseError, parse_polynomial
 from .poly import NEG_INF, Context, Polynomial
 from .selftest import run_selftest
@@ -99,35 +98,33 @@ def _frac(text: str, what: str) -> Fraction:
                          % (what, text)) from None
 
 
-def _require(args, *names):
-    missing = [nm for nm in names if getattr(args, nm, None) is None]
-    if missing:
-        raise UsageError("family %r needs %s"
-                         % (args.family, ", ".join("--" + nm for nm in missing)))
+def _flags(names):
+    return ", ".join("--" + nm for nm in names)
 
 
 def _build_instance(args):
-    fam = args.family
-    if fam == "danielewski":
-        _require(args, "n", "P")
-        P = parse_polynomial(args.P, Context(["x", "y"]), fold_case=True)
-        return make_danielewski(args.n, P)
-    if fam == "kr2":
-        _require(args, "n", "e", "l", "Q")
-        Q = parse_polynomial(args.Q, Context(["x", "z", "t"]), fold_case=True)
-        return make_koras_russell2(args.n, args.e, args.l, Q)
-    if fam == "new":
-        _require(args, "n", "e", "P", "Q")
-        P = parse_polynomial(args.P, Context(["x", "s"]), fold_case=True)
-        Q = parse_polynomial(args.Q, Context(["x", "y"]), fold_case=True)
-        return make_new_family(args.n, args.e, P, Q)
-    raise UsageError("unknown family %r" % fam)
+    spec = FAMILIES[args.family]
+    takes = dict(spec.flags)
+    missing = [nm for nm in takes if getattr(args, nm) is None]
+    if missing:
+        raise UsageError("family %r needs %s" % (args.family, _flags(missing)))
+    foreign = [nm for nm in _FAMILY_FLAGS
+               if nm not in takes and getattr(args, nm) is not None]
+    if foreign:
+        raise UsageError("family %r takes no %s" % (args.family, _flags(foreign)))
+    values = [getattr(args, nm) if names is None else
+              parse_polynomial(getattr(args, nm), Context(names), fold_case=True)
+              for nm, names in spec.flags]
+    return getattr(families, spec.build)(*values)
 
 
 def _resolve_instance(session: Session, args):
     if getattr(args, "family", None):
         session.instance = _build_instance(args)
         return session.instance
+    given = [nm for nm in _FAMILY_FLAGS if getattr(args, nm) is not None]
+    if given:
+        raise UsageError("%s given without --family" % _flags(given))
     if session.instance is not None:
         return session.instance
     raise UsageError("no family in scope; pass --family ... or run a "
@@ -297,12 +294,10 @@ def cmd_auto(session, args):
     inst = _resolve_instance(session, args)
     a = parse_polynomial(args.a, Context(["x"]), fold_case=True)
     data = AutomorphismData(_frac(args.lam, "--lam"), _frac(args.mu, "--mu"), a)
-    builder = {"danielewski": build_auto_danielewski,
-               "new-family": build_auto_newfamily}.get(inst.family)
-    if builder is None:
+    if inst.spec.auto is None:
         raise PreconditionError("no automorphism family for %s" % inst.family)
     try:
-        alpha = builder(inst, data)
+        alpha = getattr(morphisms, inst.spec.auto)(inst, data)
     except MorphismError as e:
         _emit(args, {"valid": False, "reason": str(e)},
               ["data does not define an automorphism: %s" % e])
@@ -412,14 +407,15 @@ def _add_common(sub, nilp_bound=64):
                      help="reduction steps allowed for the whole command")
 
 
+# every flag some family takes, in the order --help lists them
+_FAMILY_FLAGS = {"n": int, "e": int, "l": int, "P": str, "Q": str}
+
+
 def _add_family_flags(sub, with_family=True):
     if with_family:
-        sub.add_argument("--family", choices=["danielewski", "kr2", "new"])
-    sub.add_argument("--n", type=int)
-    sub.add_argument("--e", type=int)
-    sub.add_argument("--l", type=int)
-    sub.add_argument("--P")
-    sub.add_argument("--Q")
+        sub.add_argument("--family", choices=list(FAMILIES))
+    for nm, kind in _FAMILY_FLAGS.items():
+        sub.add_argument("--" + nm, type=kind)
 
 
 def build_parser() -> _Parser:
@@ -428,7 +424,7 @@ def build_parser() -> _Parser:
     subs = parser.add_subparsers(dest="cmd", required=True)
 
     p = subs.add_parser("family", help="instantiate a hypersurface family")
-    p.add_argument("kind", choices=["danielewski", "kr2", "new"])
+    p.add_argument("kind", choices=list(FAMILIES))
     _add_family_flags(p, with_family=False)
     _add_common(p)
     p.set_defaults(func=cmd_family)

@@ -17,6 +17,9 @@ image of the slice, so lies in the kernel.  Constructors translate the main
 variable by a rational root to put the origin on the hypersurface, and
 reject inputs where no rational translation exists.
 
+`FAMILIES` holds one `FamilySpec` row per family: everything the command
+line, the triangular morphisms and the closed-form checks read about it.
+
 The module also houses the bounded derivation search (desk-scale evidence
 that every locally nilpotent derivation is a kernel multiple of the
 canonical one) and the layer-formula checks for the closed-form filtration
@@ -39,13 +42,45 @@ from .linalg import Echelon, nullspace, rational_roots, solve_combination
 from .poly import Context, Polynomial
 
 
+@dataclass(frozen=True)
+class FamilySpec:
+    """One family's row.  Functions are named, not held, and looked up in
+    their module at call time, so that a wrapper installed there is seen."""
+    name: str                 # on the command line
+    label: str                # as printed
+    flags: tuple              # (flag, its polynomial's variables or None
+                              # for an int) in constructor argument order
+    build: str                # constructor in this module
+    auto: str | None          # automorphism builder in lndfilt.morphisms
+    triangular: tuple | None  # (slice, v) of the map x^n v = P(x, slice)
+    graded: object            # (var, params) -> closed forms of gr's relations
+
+
+FAMILIES = {spec.name: spec for spec in (
+    FamilySpec("danielewski", "danielewski", (("n", None), ("P", ("x", "y"))),
+               "make_danielewski", "build_auto_danielewski", ("y", "z"),
+               lambda v, p: [v("x") ** p["n"] * v("z") - v("y") ** p["m"]]),
+    FamilySpec("kr2", "koras-russell-2",
+               (("n", None), ("e", None), ("l", None), ("Q", ("x", "z", "t"))),
+               "make_koras_russell2", None, None,
+               lambda v, p: [v("y") * (v("x") ** p["n"] + v("z") ** p["e"])
+                             ** p["l"] - v("t") ** p["m"]]),
+    FamilySpec("new", "new-family",
+               (("n", None), ("e", None), ("P", ("x", "s")), ("Q", ("x", "y"))),
+               "make_new_family", "build_auto_newfamily", ("s", "y"),
+               lambda v, p: [v("x") ** p["n"] * v("y") - v("s") ** p["d"],
+                             v("y") ** p["m"] - v("x") ** p["e"] * v("z")]),
+)}
+
+
 class FamilyInstance:
     """A presented ring, its canonical derivation and the declared data."""
 
-    def __init__(self, family: str, params: dict, ring: RingPresentation,
+    def __init__(self, spec: FamilySpec, params: dict, ring: RingPresentation,
                  derivation: Derivation, kernel_gens, slice_elem,
-                 plinth_gen, degrees: dict, slice_names=None):
-        self.family = family
+                 plinth_gen, degrees: dict):
+        self.spec = spec
+        self.family = spec.label
         self.params = params
         self.ring = ring
         self.derivation = derivation
@@ -58,8 +93,7 @@ class FamilyInstance:
         # validates kernel membership, the slice (so D(plinth) = D(D(slice))
         # = 0) and all declared degrees
         self.filtration = FiltrationSpec(
-            derivation, kernel_gens, [slice_elem], degrees,
-            slice_names=slice_names)
+            derivation, kernel_gens, [slice_elem], degrees)
 
     def __repr__(self):
         ps = ", ".join("%s=%s" % (k, v) for k, v in sorted(self.params.items())
@@ -70,21 +104,8 @@ class FamilyInstance:
         return self.ring.relations.gens[0]
 
     def expected_graded_relations(self):
-        """Closed forms the graded presentation must kill, per family."""
-        ctx = self.filtration.ext_ctx
-        x = ctx.var("x")
-        if self.family == "danielewski":
-            n, m = self.params["n"], self.params["m"]
-            return [x ** n * ctx.var("z") - ctx.var("y") ** m]
-        if self.family == "koras-russell-2":
-            n, e, l = self.params["n"], self.params["e"], self.params["l"]
-            m = self.params["m"]
-            return [ctx.var("y") * (x ** n + ctx.var("z") ** e) ** l
-                    - ctx.var("t") ** m]
-        n, e = self.params["n"], self.params["e"]
-        d, m = self.params["d"], self.params["m"]
-        s, y, z = ctx.var("s"), ctx.var("y"), ctx.var("z")
-        return [x ** n * y - s ** d, y ** m - x ** e * z]
+        """Closed forms the graded presentation must kill."""
+        return self.spec.graded(self.filtration.ext_ctx.var, self.params)
 
     def describe(self) -> dict:
         return {
@@ -161,7 +182,7 @@ def make_danielewski(n: int, P: Polynomial,
     ring = RingPresentation(ctx, Ideal(ctx, [rel]))
     D = Derivation(ring, [ctx.zero(), x ** n, P.partial("y").lift(ctx)])
     return FamilyInstance(
-        "danielewski", {"n": n, "m": m, "P": P}, ring, D,
+        FAMILIES["danielewski"], {"n": n, "m": m, "P": P}, ring, D,
         kernel_gens=[x], slice_elem=y, plinth_gen=x ** n,
         degrees={"x": 0, "y": 1, "z": m})
 
@@ -184,7 +205,7 @@ def make_koras_russell2(n: int, e: int, l: int, Q: Polynomial) -> FamilyInstance
     D = Derivation(ring, [ctx.zero(), ctx.zero(), core,
                           Q.partial("t").lift(ctx)])
     return FamilyInstance(
-        "koras-russell-2", {"n": n, "e": e, "l": l, "m": m, "Q": Q}, ring, D,
+        FAMILIES["kr2"], {"n": n, "e": e, "l": l, "m": m, "Q": Q}, ring, D,
         kernel_gens=[x, z], slice_elem=t, plinth_gen=core,
         degrees={"x": 0, "z": 0, "t": 1, "y": m})
 
@@ -227,10 +248,9 @@ def make_new_family(n: int, e: int, P: Polynomial, Q: Polynomial) -> FamilyInsta
     if D._apply_free(s_elem) != x ** (n + e):
         raise PreconditionError("slice image is not x^(n+e); bad input")
     return FamilyInstance(
-        "new-family", {"n": n, "e": e, "d": d, "m": m, "P": P, "Q": Q},
+        FAMILIES["new"], {"n": n, "e": e, "d": d, "m": m, "P": P, "Q": Q},
         ring, D, kernel_gens=[x], slice_elem=s_elem,
-        plinth_gen=x ** (n + e), degrees={"x": 0, "y": d, "z": m * d},
-        slice_names=["s"])
+        plinth_gen=x ** (n + e), degrees={"x": 0, "y": d, "z": m * d})
 
 
 def singular_at_origin(relation: Polynomial) -> bool:
@@ -279,8 +299,7 @@ def _monomials_up_to(ctx: Context, degree: int):
 
 
 def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
-                       nilp_bound: int, samples: int = 5, seed: int = 3,
-                       term_guard: int = 300) -> LndSearchResult:
+                       nilp_bound: int) -> LndSearchResult:
     """Solve for all derivations with images of bounded degree, then filter
     by bounded nilpotency and classify against the canonical derivation.
 
@@ -352,7 +371,7 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
                                  check=False)
         cert = None
         if refuter.certify(cleared) is None:
-            cert = cleared.is_locally_nilpotent(nilp_bound, term_guard)
+            cert = cleared.is_locally_nilpotent(nilp_bound, 300)
         if cert is None:
             result.rejected += 1
             return None
@@ -365,8 +384,8 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
 
     for vec in basis:
         consider(vec, "basis")
-    rng = random.Random(seed)
-    for _ in range(samples):
+    rng = random.Random(3)
+    for _ in range(5):
         if not basis:
             break
         coeffs = [rng.randint(-2, 2) for _ in basis]
@@ -389,7 +408,7 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
                 for nm in ctx.names)
             for c in result.candidates)
         if not have:
-            cert = inst.derivation.is_locally_nilpotent(nilp_bound, term_guard)
+            cert = inst.derivation.is_locally_nilpotent(nilp_bound, 300)
             if cert is not None:
                 cls, factor = _classify_against_canonical(
                     inst, inst.derivation, image_degree_bound)
@@ -515,11 +534,10 @@ def _stated_layer_generators(inst: FamilyInstance, weight: int):
     return [p * g ** (rest // d) for p, rest in partial if rest % d == 0]
 
 
-def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12,
-                          zero_cap: int = 2) -> dict:
+def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12) -> dict:
     """Check each filtration-coordinate monomial against the closed-form
     layer description: in the stated span of its weight, not in the span
-    one lower.
+    one lower.  The probes carry weight-zero decorations of degree <= 2.
 
     Module coefficients over the kernel variables are enumerated up to a
     cap derived from the degrees; when a probe misses its stated layer, the
@@ -528,12 +546,12 @@ def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12,
     fs = inst.filtration
     ring = inst.ring
     # enough kernel-variable degree to express the rewriting chains of the
-    # main variable's power reductions, plus the probe decorations
+    # main variable's power reductions, plus the probe decorations and 4
     lowest = min(d for d in inst.degrees.values() if d > 1)
-    cap = inst.plinth_gen.degree() * (max_degree // lowest) + zero_cap + 4
+    cap = inst.plinth_gen.degree() * (max_degree // lowest) + 2 + 4
 
     probes: dict = {}
-    for mono, w, b in fs.probes(max_degree, zero_cap):
+    for mono, w, b in fs.probes(max_degree, 2):
         probes.setdefault(w, []).append((mono, b))
 
     for coeff_cap in (cap, 2 * cap):

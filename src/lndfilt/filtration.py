@@ -102,7 +102,7 @@ class FiltrationSpec:
     """Derivation, kernel generators, slices and degrees, wired together."""
 
     def __init__(self, derivation: Derivation, kernel_gens, slices,
-                 var_degrees: dict, slice_names=None, validate: bool = True):
+                 var_degrees: dict, validate: bool = True):
         self.derivation = derivation
         self.ring = derivation.ring
         ctx = self.ring.ctx
@@ -134,9 +134,7 @@ class FiltrationSpec:
             + [0] * len(self.adjoined)
         for j, s in enumerate(self.slices):
             if not _is_variable(s):
-                if slice_names:
-                    want = slice_names[j]
-                elif len(self.slices) == 1 and "s" not in taken:
+                if len(self.slices) == 1 and "s" not in taken:
                     want = "s"
                 else:
                     want = "s%d" % (j + 1)
@@ -219,7 +217,7 @@ class FiltrationSpec:
 
     # ------------------------------------------------------------ properness
 
-    def properness_check(self, samples: int = 25, seed: int = 1123) -> PropernessResult:
+    def properness_check(self) -> PropernessResult:
         if self._properness is not None:
             return self._properness
         try:
@@ -232,15 +230,22 @@ class FiltrationSpec:
                                    reason="initial ideal is prime",
                                    certificate=cert)
         elif cert.status == "not-prime":
-            probe = self._empirical_probe(samples, seed)
+            probe = self._empirical_probe(25, 1123)
             res = PropernessResult("improper", "binomial-prime",
                                    reason="initial ideal is not prime",
                                    certificate=cert, witness=probe and probe[1])
         else:
             try:
-                res = self._empirical_route(samples, seed)
+                probe = self._empirical_probe(25, 1123)
             except BudgetExhausted as e:
                 return PropernessResult("undecided", "empirical", reason=str(e))
+            if probe is None:
+                res = PropernessResult(
+                    "proper", "empirical", samples=25,
+                    reason="degree multiplicativity held on all samples")
+            else:
+                res = PropernessResult("improper", "empirical", reason=probe[0],
+                                       witness=probe[1], samples=25)
         self._properness = res
         return res
 
@@ -296,16 +301,6 @@ class FiltrationSpec:
                     return ("induced degree %s of %s disagrees with oracle %s"
                             % (da, a, D.deg(a)), a)
         return None
-
-    def _empirical_route(self, samples, seed) -> PropernessResult:
-        probe = self._empirical_probe(samples, seed)
-        if probe is None:
-            return PropernessResult(
-                "proper", "empirical",
-                reason="degree multiplicativity held on all samples",
-                samples=samples)
-        return PropernessResult("improper", "empirical", reason=probe[0],
-                                witness=probe[1], samples=samples)
 
     # ------------------------------------------------------------ graded ring
 
@@ -373,13 +368,13 @@ class FiltrationSpec:
             accepted.append(LayerGenerator(w, mono, canon))
         return accepted
 
-    def layer_equality_check(self, max_degree: int = 12, zero_cap: int = 2):
+    def layer_equality_check(self, max_degree: int = 12):
         """Compare formal weight, minimal-preimage weight and the iteration
         oracle on the probes (see `probes`; the weight-zero directions are
-        unbounded, so zero_cap keeps them finite).  Returns the mismatches."""
+        unbounded, so their degree is capped at 2).  Returns the mismatches."""
         D = self.derivation
         mismatches = []
-        for mono, w, b in self.probes(max_degree, zero_cap):
+        for mono, w, b in self.probes(max_degree, 2):
             d_oracle = D.deg(b)
             d_ind = self.omega_b(b)
             if not (d_oracle == w == d_ind):
@@ -388,9 +383,7 @@ class FiltrationSpec:
 
     # ------------------------------------------------------------ gr properties
 
-    def gr_properties_report(self, pairs: int = 200, seed: int = 7,
-                             max_degree: int = 2, max_terms: int = 3,
-                             oracle_every: int = 10):
+    def gr_properties_report(self, pairs: int = 200, seed: int = 7):
         """P1 multiplicativity, P2 domination, P3 additivity, P4 cancellation
         on random pairs; returns a dict report with any counterexample."""
         graded = self.graded_presentation()
@@ -400,7 +393,7 @@ class FiltrationSpec:
 
         def rand_nonzero():
             while True:
-                a = random_polynomial(self.ring.ctx, rng, max_degree, max_terms)
+                a = random_polynomial(self.ring.ctx, rng, 2, 3)
                 if not self.ring.nf(a).is_zero():
                     return a
 
@@ -411,7 +404,7 @@ class FiltrationSpec:
         for k in range(pairs):
             a, b = rand_nonzero(), rand_nonzero()
             ga, gb = self.gr(a), self.gr(b)
-            if k % oracle_every == 0:
+            if k % 10 == 0:
                 if self.derivation.deg(a) != ga.degree:
                     return fail("degree-oracle", a)
                 report["oracle_checks"] += 1
@@ -513,13 +506,12 @@ class FiltrationSpec:
                 a = a * kg[j] ** e
             yield expo, a
 
-    def local_slice_expansion(self, f: Polynomial, slice_index: int = 0,
-                              kernel_degree_bound: int = 8):
+    def local_slice_expansion(self, f: Polynomial, kernel_degree_bound: int = 8):
         """Try to write c^i * f as sum a_k s^k with a_k in the kernel algebra,
-        where s is the chosen slice, c = D(s) and i = deg(f).  Returns the
+        where s is the first slice, c = D(s) and i = deg(f).  Returns the
         dict k -> a_k on success, None when the bounded search fails."""
         D = self.derivation
-        s = self.slices[slice_index]
+        s = self.slices[0]
         c = D.apply(s)
         i = D.deg(f)
         if i == NEG_INF:

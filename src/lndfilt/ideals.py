@@ -196,15 +196,13 @@ def monic(p: Polynomial, order: MonomialOrder) -> Polynomial:
     return p if c == 1 else p * Fraction(1, c)
 
 
-def exact_quotient(p: Polynomial, d: Polynomial,
-                   order: MonomialOrder | None = None):
+def exact_quotient(p: Polynomial, d: Polynomial):
     """p / d when d divides p exactly in the polynomial ring, else None."""
     if d.is_zero():
         raise ZeroDivisionError("division by the zero polynomial")
     if p.is_zero():
         return p
-    if order is None:
-        order = MonomialOrder.grlex(len(p.ctx))
+    order = MonomialOrder.grlex(len(p.ctx))
     lm, lc = leading_term(d, order)
     q = p.ctx.zero()
     r = p

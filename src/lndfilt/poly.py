@@ -106,9 +106,6 @@ class Context:
             raise ValueError("exponent tuple length mismatch")
         return Polynomial(self, {expo: coeff})
 
-    def extend(self, extra: Sequence[str]) -> "Context":
-        return Context(self.names + tuple(extra))
-
     def without(self, drop: Iterable[str]) -> "Context":
         drop = set(drop)
         return Context([nm for nm in self.names if nm not in drop])
@@ -448,7 +445,7 @@ class Polynomial:
 
 
 def random_polynomial(ctx: Context, rng, max_degree=3, max_terms=4,
-                      coeff_bound=5, allow_zero=True) -> Polynomial:
+                      allow_zero=True) -> Polynomial:
     """Random sparse polynomial, used by the empirical checks and the tests."""
     nterms = rng.randint(0 if allow_zero else 1, max_terms)
     terms: dict = {}
@@ -461,7 +458,7 @@ def random_polynomial(ctx: Context, rng, max_degree=3, max_terms=4,
             left -= e
         c = 0
         while c == 0:
-            c = rng.randint(-coeff_bound, coeff_bound)
+            c = rng.randint(-5, 5)
         m = tuple(expo)
         terms[m] = terms.get(m, 0) + c
     return Polynomial(ctx, terms)

@@ -13,6 +13,7 @@ import pytest
 from lndfilt import cli
 from lndfilt.cli import main
 from lndfilt.derivations import Derivation
+from lndfilt.families import FAMILIES
 
 TOY = ["--family", "new", "--n", "2", "--e", "1", "--P", "s^2", "--Q", "y^2"]
 
@@ -54,11 +55,31 @@ def test_no_family_exit_1(capsys):
     assert "no family in scope" in err
 
 
-def test_missing_family_parameter_exit_1(capsys):
-    code, _, err = run(capsys, ["deg", "--family", "danielewski",
-                                "--n", "2", "--of", "x"])
+# valid flag values per family, in each row's flag order
+FLAG_VALUES = {"danielewski": {"n": "2", "P": "y^2"},
+               "kr2": {"n": "2", "e": "3", "l": "2", "Q": "t^2 + x + z*t"},
+               "new": {"n": "2", "e": "1", "P": "s^2", "Q": "y^2"}}
+
+
+def _flag_argv(values):
+    return [arg for nm, v in values.items() for arg in ("--" + nm, v)]
+
+
+@pytest.mark.parametrize("name", list(FAMILIES))
+def test_family_flags_missing_or_foreign_exit_1(name, capsys):
+    values = FLAG_VALUES[name]
+    assert list(values) == [nm for nm, _ in FAMILIES[name].flags]
+    deg = ["deg", "--family", name, "--of", "x"]
+    assert run(capsys, deg + _flag_argv(values))[0] == 0
+    for nm in values:
+        rest = {k: v for k, v in values.items() if k != nm}
+        code, _, err = run(capsys, deg + _flag_argv(rest))
+        assert code == 1
+        assert "needs --%s" % nm in err
+    foreign = next(nm for nm in cli._FAMILY_FLAGS if nm not in values)
+    code, _, err = run(capsys, deg + _flag_argv(values) + ["--" + foreign, "2"])
     assert code == 1
-    assert "--P" in err
+    assert "takes no --%s" % foreign in err
 
 
 def test_family_describe(capsys):
@@ -381,6 +402,19 @@ def test_script_stops_on_first_failure(tmp_path, capsys):
     assert code == 2
     assert "script stopped at line 2 (exit 2)" in err
     assert "deg(x)" not in out
+
+
+def test_script_family_flags_need_family(tmp_path, capsys):
+    # flags without --family would not describe the family in scope
+    script = tmp_path / "flags.txt"
+    script.write_text(
+        'family danielewski --n 2 --P "y^2"\n'
+        'deg --n 5 --P "y^3" --of z\n')
+    code, out, err = run(capsys, ["script", str(script)])
+    assert code == 1
+    assert "--n, --P given without --family" in err
+    assert "deg(z)" not in out
+    assert err.endswith("script stopped at line 2 (exit 1)\n")
 
 
 def test_script_cannot_nest(tmp_path, capsys):

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from lndfilt.derivations import BoundExceeded, Derivation, RingPresentation
-from lndfilt.families import (FamilyInstance, make_danielewski,
+from lndfilt.families import (FAMILIES, FamilyInstance, make_danielewski,
                               make_koras_russell2, make_new_family)
 from lndfilt.filtration import FiltrationSpec, PreconditionError
 from lndfilt.ideals import Budget, Ideal
@@ -171,7 +171,7 @@ def test_validation_rejects_bad_specs():
                        [x], [y], {"x": 0, "y": 1, "z": 1})
     with pytest.raises(PreconditionError,
                        match="plinth generator is not the slice image"):
-        FamilyInstance("danielewski", {}, ring, D, [x], y, _p("x^3"),
+        FamilyInstance(FAMILIES["danielewski"], {}, ring, D, [x], y, _p("x^3"),
                        {"x": 0, "y": 1, "z": 2})
 
 

@@ -21,7 +21,8 @@ FAMILY = ["--family=danielewski", "--n=2", "--P=y^2"]
 OPS = [["search", *FAMILY, "--degree-bound=2", "--nilp-bound=8", "--json"],
        ["deg", "--family=new", "--n=2", "--e=1", "--P=s^2", "--Q=y^2",
         "--of=(y^2 - x*z)^3*z", "--json"]]
-NONZERO = ["ideals.nf_against.calls", "ideals.reductions", "poly.mul.calls"]
+NONZERO = ["ideals.nf_against.calls", "ideals.reductions", "poly.mul.calls",
+           "families.build.calls"]
 # auto conjugates by the translation that removes the y^1 coefficient, so
 # it composes; iso builds its witness through the same translations
 MORPH_OPS = [["auto", "--family=danielewski", "--n=2", "--P=y^2 + x*y",
