@@ -42,7 +42,7 @@ from .linalg import Echelon, nullspace, rational_roots, solve_combination
 from .poly import Context, Polynomial
 
 
-@dataclass(frozen=True)
+@dataclass
 class FamilySpec:
     """One family's row.  Functions are named, not held, and looked up in
     their module at call time, so that a wrapper installed there is seen."""
@@ -546,7 +546,7 @@ def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12) -> dict:
     fs = inst.filtration
     ring = inst.ring
     # enough kernel-variable degree to express the rewriting chains of the
-    # main variable's power reductions, plus the probe decorations and 4
+    # main variable's power reductions, plus the probe decorations' 2 and 4
     lowest = min(d for d in inst.degrees.values() if d > 1)
     cap = inst.plinth_gen.degree() * (max_degree // lowest) + 2 + 4
 
