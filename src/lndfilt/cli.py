@@ -179,6 +179,11 @@ def cmd_lnd_check(session, args):
     if args.ring or args.images:
         if not (args.ring and args.images):
             raise UsageError("custom mode needs both --ring and --images")
+        given = [nm for nm in ("family", *_FAMILY_FLAGS)
+                 if getattr(args, nm) is not None]
+        if given:
+            raise UsageError("custom mode (--ring, --images) takes no %s"
+                             % _flags(given))
         try:
             D = _custom_derivation(args)
         except NotWellDefined as e:

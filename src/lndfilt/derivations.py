@@ -62,6 +62,11 @@ derivation before `is_locally_nilpotent`:
   so a generator x_i with D(x_i) != 0 and D(x_i) in (x_i) + I certifies
   "not LND".  It runs only where `certified_domain` accepts the
   presentation.
+
+`bounded_lnd_search` runs both a second time, on the associated graded
+ring gr(B) against the homogenization gr(D) of a candidate
+(`FiltrationSpec.homogenization`), which is locally nilpotent whenever D
+is; there `certified_domain` gates the whole step.
 """
 
 from __future__ import annotations
@@ -131,10 +136,12 @@ class Derivation:
     __slots__ = ("ring", "images", "_nilp")
 
     def __init__(self, ring: RingPresentation, images, check: bool = True):
+        """check=False: the images are already normal forms of a
+        well-defined derivation, so neither is computed again."""
         if len(images) != len(ring.ctx):
             raise ValueError("need one image per generator")
         self.ring = ring
-        self.images = tuple(ring.nf(p) for p in images)
+        self.images = tuple(ring.nf(p) for p in images) if check else tuple(images)
         self._nilp = None
         if check:
             for g in ring.relations.gens:

@@ -23,7 +23,10 @@ line, the triangular morphisms and the closed-form checks read about it.
 The module also houses the bounded derivation search (desk-scale evidence
 that every locally nilpotent derivation is a kernel multiple of the
 canonical one) and the layer-formula checks for the closed-form filtration
-descriptions.
+descriptions.  The search refutes a candidate by an exact certificate
+where one applies (the tangent map and divisibility on B, then both on
+gr(B) against its homogenization gr(D)) and iterates only the rest; it
+counts the rejections by kind.
 """
 
 from __future__ import annotations
@@ -35,7 +38,8 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 
 from .derivations import (Derivation, NilpotencyCertificate,
-                          NonNilpotencyCertifier, RingPresentation)
+                          NonNilpotencyCertifier, RingPresentation,
+                          certified_domain)
 from .filtration import FiltrationSpec, PreconditionError
 from .ideals import Ideal, exact_quotient
 from .linalg import Echelon, nullspace, rational_roots, solve_combination
@@ -277,9 +281,16 @@ class LndCandidate:
 class LndSearchResult:
     solution_dimension: int
     candidates: list = field(default_factory=list)
-    rejected: int = 0
+    # rejections by the exact certificate that refuted the candidate, or
+    # by iteration when none did
+    rejections: dict = field(default_factory=lambda: dict.fromkeys(
+        ("tangent", "divisibility", "graded", "iteration"), 0))
     trivial: int = 0           # vectors whose images reduce to 0 mod relations
     notes: list = field(default_factory=list)
+
+    @property
+    def rejected(self) -> int:
+        return sum(self.rejections.values())
 
     def all_classified_canonical(self) -> bool:
         return all(c.classification == "multiple-of-canonical"
@@ -313,7 +324,10 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
     orders and iterates of the same sizes, so the iteration stays in
     integers as far as the relations allow.  A candidate that an exact
     non-nilpotency certificate (`NonNilpotencyCertifier`) rejects is never
-    iterated; it counts as rejected all the same.
+    iterated; it counts as rejected all the same.  The certificates run on
+    the candidate D, then, where gr(B) is a certified domain, on its
+    homogenization gr(D) (`FiltrationSpec.homogenization`), which is
+    locally nilpotent whenever D is.
     """
     if image_degree_bound < 1 or nilp_bound < 1:
         raise PreconditionError("bounds must be at least 1")
@@ -355,6 +369,21 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
     result = LndSearchResult(solution_dimension=len(basis))
     seen_keys = set()
     refuter = NonNilpotencyCertifier(ring)
+    fs = inst.filtration
+    # certified_domain takes one relation at most, so a J with more
+    # generators is skipped before Jhat is built
+    graded = (NonNilpotencyCertifier(fs._graded_ring())
+              if len(fs.extended_ideal.gens) == 1
+              and certified_domain(fs._graded_ring()) else None)
+
+    def refutation(D):
+        """The kind of the first certificate that refutes D, or None."""
+        cert = refuter.certify(D)
+        if cert is not None:
+            return cert.data["kind"]
+        if graded is not None and graded.certify(fs.homogenization(D)[0]):
+            return "graded"
+        return None
 
     def consider(vec, source):
         D = vector_to_derivation(vec)
@@ -369,11 +398,10 @@ def bounded_lnd_search(inst: FamilyInstance, image_degree_bound: int,
         if scale != 1:
             cleared = Derivation(ring, [img * scale for img in D.images],
                                  check=False)
-        cert = None
-        if refuter.certify(cleared) is None:
-            cert = cleared.is_locally_nilpotent(nilp_bound, 300)
+        kind = refutation(cleared)
+        cert = None if kind else cleared.is_locally_nilpotent(nilp_bound, 300)
         if cert is None:
-            result.rejected += 1
+            result.rejections[kind or "iteration"] += 1
             return None
         if scale != 1:
             D._take_orders(cleared, scale)

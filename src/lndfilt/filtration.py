@@ -9,7 +9,8 @@ defining relations, and the weight vector
 The candidate filtration puts an element in layer r when it has a J-preimage
 of weight <= r; the normal form under a weight-refined order realizes the
 minimal such weight, so layer membership is computable.  The ideal of top
-forms Jhat presents the associated graded ring.
+forms Jhat presents the associated graded ring, on which any derivation of
+B induces a homogeneous one, its homogenization gr(D).
 
 Properness is decided along two routes: the binomial lattice-ideal primality
 certificate for Jhat when it applies, otherwise an empirical route that
@@ -450,37 +451,55 @@ class FiltrationSpec:
 
     # ------------------------------------------------------------ induced derivation
 
-    def induced_derivation(self, nilp_bound: int = 64):
-        """The homogeneous derivation gr(D) on the graded presentation.
+    def homogenization(self, D: Derivation):
+        """(gr(D), k) on `_graded_ring()` for a nonzero derivation D of the
+        ring, or None for D = 0.
 
-        Its degree is max over generators of deg(D(g)) - deg(g); generators
-        realizing the max map to the symbol of their image, the others to 0.
-        Verified: images homogeneous, relations preserved, locally nilpotent
-        within the bound.
+        Each extended generator v of weight w_v gets q_v, the minimal-weight
+        preimage of D(v), and the gap w(q_v) - w_v; k is the largest gap,
+        and gr(D) sends v to the symbol of q_v where the gap is k, else 0.
+
+        Proof that gr(D) is a derivation of gr(B), homogeneous of degree k,
+        and locally nilpotent when D is.  Let F_r be the image in B of the
+        polynomials in v of weight <= r, and let E be the derivation of the
+        polynomial ring with E(v) = q_v.  The maps p -> D(p(v)) and
+        p -> E(p)(v) are derivations into B that agree on every v, so they
+        agree, and E raises weights by at most k: D(F_r) is in F_(r+k).  So
+        [b]_r -> [D(b)]_(r+k) is well defined on gr(B) = sum of F_r/F_(r-1),
+        a derivation of degree k, and gr(D)^j [b]_r = [D^j(b)]_(r+jk).  The
+        class [D(v)] in degree w_v + k is the symbol of q_v when its gap is
+        k and 0 otherwise, since q_v has minimal weight.  If D^j kills b,
+        gr(D)^j kills [b]; the classes [v] generate gr(B), so gr(D) is
+        locally nilpotent.  No domain hypothesis is used.
+        """
+        omega = self.omega
+        qs = [self.min_weight_nf(dv) for dv in
+              [*D.images, *(D.apply(p) for _, p in self.adjoined)]]
+        gaps = [None if q.is_zero() else q.weighted_degree(omega) - w
+                for q, w in zip(qs, omega)]
+        live = [gap for gap in gaps if gap is not None]
+        if not live:
+            return None
+        k = max(live)
+        # symbols are normal forms mod Jhat, and gr(D) is well defined
+        return Derivation(self._graded_ring(), [
+            self._symbol(q) if gap == k else self.ext_ctx.zero()
+            for q, gap in zip(qs, gaps)], check=False), k
+
+    def induced_derivation(self, nilp_bound: int = 64):
+        """The homogeneous derivation gr(D) on the graded presentation, from
+        `homogenization`.  Verified: relations preserved, images homogeneous
+        of the generators' degree plus k, locally nilpotent within the
+        bound.
         """
         graded = self.graded_presentation()
-        D = self.derivation
-        # (extended variable name, element of B)
+        hom = self.homogenization(self.derivation)
+        if hom is None:
+            raise PreconditionError("zero derivation induces nothing")
+        # the checked constructor verifies that Jhat is preserved
+        gr_d, d = Derivation(graded.ring, hom[0].images), hom[1]
         gens = [(nm, self.ring.ctx.var(nm)) for nm in self.ring.ctx.names] \
             + self.adjoined
-        gaps = {}
-        for nm, g in gens:
-            dg = D.apply(g)
-            if dg.is_zero():
-                gaps[nm] = None
-                continue
-            gaps[nm] = self.omega_b(dg) - self.omega_b(g)
-        live = [v for v in gaps.values() if v is not None]
-        if not live:
-            raise PreconditionError("zero derivation induces nothing")
-        d = max(live)
-        images = []
-        for nm, g in gens:
-            if gaps[nm] == d:
-                images.append(self.gr(D.apply(g)).poly)
-            else:
-                images.append(self.ext_ctx.zero())
-        gr_d = Derivation(graded.ring, images, check=True)
         for (nm, g), img in zip(gens, gr_d.images):
             if img.is_zero():
                 continue

@@ -121,6 +121,20 @@ def test_lnd_check_custom_non_nilpotent(capsys):
     assert "no nilpotency certificate" in out
 
 
+@pytest.mark.parametrize("extra", [
+    ["--family", "danielewski", "--n", "2", "--P", "y^2"], ["--n", "2"],
+    ["--family", "kr2"]])
+def test_lnd_check_custom_mode_takes_no_family_flags(extra, capsys):
+    # custom mode reads only --ring, --relations and --images; a family or
+    # a family flag beside them would be ignored, so it is a usage error
+    code, out, err = run(capsys, ["lnd-check", "--ring", "x", "--images", "0",
+                                  *extra, "--json"])
+    assert (code, out) == (1, "")
+    names = [a for a in extra if a.startswith("--")]
+    assert err == ("usage error: custom mode (--ring, --images) takes no "
+                   "%s\n" % ", ".join(names))
+
+
 def test_filtration_layers(capsys):
     code, out, _ = run(capsys, ["filtration", *TOY, "--r", "4", "--json"])
     assert code == 0

@@ -14,6 +14,7 @@ from lndfilt.derivations import (BoundExceeded, Derivation,
                                  RingPresentation, certified_domain)
 from lndfilt.families import (bounded_lnd_search, make_danielewski,
                               make_koras_russell2, make_new_family)
+from lndfilt.filtration import FiltrationSpec
 from lndfilt.ideals import Ideal
 from lndfilt.parser import parse_polynomial
 from lndfilt.poly import NEG_INF, Context, Polynomial, random_polynomial
@@ -394,29 +395,122 @@ SEARCHES = [
 ]
 
 
-@pytest.mark.parametrize("argv", SEARCHES)
-def test_certified_rejections_fail_iteration(argv, monkeypatch):
-    """Differential check of the certificates against iteration: each
-    candidate they reject also fails `is_locally_nilpotent` at bound 64,
-    and each accepted candidate passes both.  The iteration keeps the
-    search's term guard of 300: without it, bound 64 takes more than 100 s
-    on the first instance alone."""
+def _recorded_search(argv, monkeypatch):
+    """Run one search, recording each certificate verdict with the
+    candidate it judged: for a verdict on gr(D), the candidate D whose
+    homogenization it was."""
     args = cli._parser().parse_args(["search", *argv])
     inst = cli._build_instance(args)
     verdicts = []
+    origin = {}
     certify = NonNilpotencyCertifier.certify
+    homogenization = FiltrationSpec.homogenization
+
+    def recorded_hom(self, D):
+        hom = homogenization(self, D)
+        origin[id(hom[0])] = D
+        return hom
 
     def recorded(self, D):
         cert = certify(self, D)
-        verdicts.append((D, cert))
+        graded = D.ring is not inst.ring
+        verdicts.append((origin[id(D)] if graded else D, graded, cert))
         return cert
 
+    monkeypatch.setattr(FiltrationSpec, "homogenization", recorded_hom)
     monkeypatch.setattr(NonNilpotencyCertifier, "certify", recorded)
     res = bounded_lnd_search(inst, args.degree_bound, args.nilp_bound)
-    refuted = [D for D, cert in verdicts if cert is not None]
+    monkeypatch.undo()
+    return inst, res, verdicts
+
+
+@pytest.mark.parametrize("argv", SEARCHES)
+def test_certified_rejections_fail_iteration(argv, monkeypatch):
+    """Differential check of the certificates against iteration: each
+    candidate they reject, on B or through its homogenization gr(D) on
+    gr(B), also fails `is_locally_nilpotent` at bound 64, and each
+    accepted candidate passes both, gr(D) included.  The iteration keeps
+    the search's term guard of 300: without it, bound 64 takes more than
+    100 s on the first instance alone."""
+    inst, res, verdicts = _recorded_search(argv, monkeypatch)
+    refuted = [D for D, _, cert in verdicts if cert is not None]
     assert refuted
     for D in refuted:
         assert D.is_locally_nilpotent(64, term_guard=300) is None, D
+    # the gate: gr(B) is a certified domain only on Danielewski surfaces,
+    # and elsewhere no homogenization is built
+    fs = inst.filtration
+    gated = inst.family == "danielewski"
+    assert certified_domain(fs._graded_ring()) == gated
+    assert gated or not any(graded for _, graded, _ in verdicts)
     certifier = NonNilpotencyCertifier(inst.ring)
+    graded = NonNilpotencyCertifier(fs._graded_ring())
     for cand in res.candidates:
-        assert certify(certifier, cand.derivation) is None, cand.derivation
+        assert cand.derivation.is_locally_nilpotent(64, term_guard=300)
+        assert certifier.certify(cand.derivation) is None, cand.derivation
+        assert graded.certify(fs.homogenization(cand.derivation)[0]) is None
+
+
+def test_rejections_by_kind_on_the_seed_1_searches():
+    """The five searches of the benchmark's seed-1 search pass reject 97
+    candidates: 19 by the tangent map, 68 by divisibility, 8 through
+    gr(D) and 2 by iteration."""
+    total = dict.fromkeys(("tangent", "divisibility", "graded",
+                           "iteration"), 0)
+    for argv in SEARCHES[:5]:
+        args = cli._parser().parse_args(["search", *argv])
+        res = bounded_lnd_search(cli._build_instance(args), args.degree_bound,
+                                 args.nilp_bound)
+        assert res.rejected == sum(res.rejections.values())
+        for kind, count in res.rejections.items():
+            total[kind] += count
+    assert total == {"tangent": 19, "divisibility": 68, "graded": 8,
+                     "iteration": 2}
+
+
+def test_unchecked_images_are_normal_forms(monkeypatch):
+    """A search builds its cleared multiples and each gr(D) with
+    check=False, which takes the images as given: each must already be its
+    normal form, and the derivation well defined."""
+    init = Derivation.__init__
+    unchecked = []
+
+    def recorded(self, ring, images, check=True):
+        init(self, ring, images, check)
+        if not check:
+            unchecked.append(self)
+
+    monkeypatch.setattr(Derivation, "__init__", recorded)
+    for argv in SEARCHES[:5]:
+        args = cli._parser().parse_args(["search", *argv])
+        bounded_lnd_search(cli._build_instance(args), args.degree_bound,
+                           args.nilp_bound)
+    monkeypatch.undo()
+    # B's order is grlex, gr(B)'s the weight order of the filtration
+    assert {D.ring.order.kind for D in unchecked} == {"grlex", "weight"}
+    for D in unchecked:
+        assert Derivation(D.ring, D.images).images == D.images, D
+
+
+@pytest.mark.parametrize("make", [
+    lambda: make_danielewski(2, _p("y^2 + x*y", XY)),
+    lambda: make_danielewski(3, _p("y^3 - 3*x*y", XY)),
+    lambda: make_koras_russell2(2, 3, 2, _p("t^2 + x + z*t", XZT)),
+    lambda: make_new_family(2, 1, _p("s^2", XS), _p("y^2", XY)),
+    lambda: make_new_family(2, 1, _p("s^2 + x*s", XS), _p("y^2 + x*y", XY))])
+def test_kernel_multiples_are_never_refuted(make):
+    """f*D is locally nilpotent for f in ker D, so no certificate may
+    refute it, on B nor through gr(f*D) on gr(B), whether or not gr(B) is
+    a certified domain (the tangent map needs none)."""
+    inst = make()
+    fs = inst.filtration
+    D = inst.derivation
+    ctx = inst.ring.ctx
+    on_b = NonNilpotencyCertifier(inst.ring)
+    on_gr = NonNilpotencyCertifier(fs._graded_ring())
+    for f in ("1", "x", "1 + x", "x^2"):
+        fD = Derivation(inst.ring, [_p(f, ctx) * im for im in D.images])
+        assert on_b.certify(fD) is None, f
+        gr_d, k = fs.homogenization(fD)
+        assert on_gr.certify(gr_d) is None, f
+        assert gr_d.is_locally_nilpotent(64) is not None, f
