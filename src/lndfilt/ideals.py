@@ -35,9 +35,10 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Sequence
 
-from .linalg import smith_normal_form
+from .linalg import nullspace, smith_normal_form
 from .poly import Context, Polynomial, mono_div, mono_lcm, mono_mul, mono_wdeg
 
 DEFAULT_BUDGET = 10 ** 6
@@ -477,6 +478,18 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None) -> Binomial
     the ideal, since either one in it would have a leading monomial dividing
     that element's own, which a reduced basis rules out.  Anything else
     outside that shape is reported inapplicable, never guessed.
+
+    The saturation is tested one variable at a time (Bayer and Stillman,
+    Invent. Math. 87, 1987) when the rows u - v of the basis binomials
+    x^u - x^v have a strictly positive integer grading w, w . (u - v) = 0
+    (`_positive_grading`); the ideal is then w-homogeneous.  Under the
+    order of weight w - e_i, which is >= 0 because w_i >= 1, the terms of a
+    w-homogeneous g rank by fewest x_i first, so x_i dividing lm(g) means
+    x_i divides g.  Hence in(I : x_i^oo) = in(I) : x_i^oo, and I : x_i^oo = I
+    exactly when no leading monomial of the reduced basis for that order
+    contains x_i; I : (x_1...x_n)^oo = I exactly when that holds for every
+    i (`_saturated_by_variables`).  Without such a grading the test
+    eliminates t from I + (1 - t*x_1...x_n) (`saturate`) and compares.
     """
     if order is None:
         order = MonomialOrder.grlex(len(ideal.ctx))
@@ -497,8 +510,12 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None) -> Binomial
             return BinomialPrimality(
                 "inapplicable", "generator %s is not a pure difference" % g)
         rows.append([a - b for a, b in zip(m1, m2)])
-    sat = saturate(ideal, product_of_variables(ideal.ctx))
-    if not ideal_equal(sat, ideal):
+    w = _positive_grading(rows, len(ideal.ctx))
+    if w is not None:
+        saturated = _saturated_by_variables(gb, w)
+    else:
+        saturated = ideal_equal(saturate(ideal, product_of_variables(ideal.ctx)), ideal)
+    if not saturated:
         return BinomialPrimality(
             "inapplicable", "not saturated with respect to the variables",
             lattice_rows=rows)
@@ -511,3 +528,25 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None) -> Binomial
                              "elementary divisors %r" % (divisors,),
                              lattice_rows=rows, divisors=divisors,
                              saturation_certified=True)
+
+
+def _positive_grading(rows, n: int):
+    """A strictly positive integer w with w . r = 0 for every row, or None:
+    the sum of the nullspace basis, denominators cleared."""
+    basis = nullspace([{j: a for j, a in enumerate(r) if a} for r in rows], n)
+    w = [sum(col) for col in zip(*basis)]
+    if not w or min(w) <= 0:
+        return None
+    den = lcm(*(q.denominator for q in w))
+    return [int(q * den) for q in w]
+
+
+def _saturated_by_variables(basis, w) -> bool:
+    """Whether the w-homogeneous ideal of basis equals its saturation by
+    every variable: no leading monomial of its reduced basis under the
+    weight w - e_i contains x_i, for each i in turn."""
+    for i in range(len(w)):
+        order = MonomialOrder.weight([wj - (j == i) for j, wj in enumerate(w)])
+        if any(leading_monomial(g, order)[i] for g in buchberger(basis, order)):
+            return False
+    return True

@@ -11,13 +11,17 @@ Accepted grammar (whitespace free between tokens):
 '^' binds tightest, multiplication is always explicit, '/' is only allowed
 with a nonzero constant divisor (so rational literals like 3/4 work).
 Identifiers must be variables of the supplied context.  Errors carry the
-offset into the input line.
+offset into the input line.  A power of a base with t >= 2 terms may have
+up to C(e + t - 1, t - 1) terms; when that exceeds the reduction steps the
+active budget has left, the power raises `BudgetExhausted` before it is
+expanded (the budget is read, not drawn from).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
+from .ideals import BudgetExhausted, _steps_left
 from .poly import Context, Polynomial
 
 
@@ -122,13 +126,34 @@ def _unary(lex, ctx, fold):
 
 
 def _power(lex, ctx, fold):
+    start = lex.pos
     p = _atom(lex, ctx, fold)
     kind, _ = lex.peek()
     if kind == "^":
         lex.take()
         e = int(lex.expect("int"))
+        left = _steps_left(1)
+        if _terms_may_exceed(len(p.terms), e, left):
+            raise BudgetExhausted(
+                "%s may have more terms than the %d reduction steps left"
+                % (lex.text[start:lex.pos].strip(), left))
         p = p ** e
     return p
+
+
+def _terms_may_exceed(t: int, e: int, left: int) -> bool:
+    """Whether a base of t >= 2 terms to the power e may have more than
+    left terms: C(e + t - 1, t - 1) > left.  C(e + k, k) is built up for
+    k < t and the loop stops once it passes left, so no huge binomial is
+    formed."""
+    if t < 2:
+        return False
+    bound = 1
+    for k in range(1, t):
+        bound = bound * (e + k) // k
+        if bound > left:
+            return True
+    return False
 
 
 def _atom(lex, ctx, fold):

@@ -7,6 +7,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -176,17 +177,33 @@ CANCELLING = "--of=(y^2 - x*z)^3*z"
 TRANSLATING = ["--lam=3", "--mu=2", "--a=1"]
 
 
-@pytest.mark.parametrize("argv", [
-    ["deg", *TOY, CANCELLING],
-    ["auto", *DAN2, *TRANSLATING],
-    STEPPED,
+EXHAUSTED = "reduction budget exhausted"
+
+
+@pytest.mark.parametrize("argv, reason", [
+    # the build leaves 0 steps, fewer than the 4 terms (y^2 - x*z)^3 may have
+    (["deg", *TOY, CANCELLING],
+     "(y^2 - x*z)^3 may have more terms than the 0 reduction steps left"),
+    (["auto", *DAN2, *TRANSLATING], EXHAUSTED),
+    (STEPPED, EXHAUSTED),
 ])
-def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv):
+def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv, reason):
     assert run(capsys, argv)[0] == 0
     code, out, err = run(capsys, [*argv, "--gb-budget=1"])
     assert code == 4
     assert out == ""
-    assert err == "budget exhausted: reduction budget exhausted\n"
+    assert err == "budget exhausted: %s\n" % reason
+
+
+def test_huge_power_of_a_sum_exits_4_before_expanding(capsys):
+    # (x+y)^e may have e + 1 terms, over the default 10^6 steps
+    start = time.perf_counter()
+    code, out, err = run(capsys, ["deg", *DAN2, "--of=(x+y)^100000000"])
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == ("budget exhausted: (x+y)^100000000 may have more terms "
+                   "than the 1000000 reduction steps left\n")
+    assert run(capsys, ["deg", *DAN2, "--of=(x+y)^3"])[:2] == (0, "deg((x+y)^3) = 3\n")
 
 
 # one valid call per subcommand

@@ -159,6 +159,16 @@ def test_monomial_of_degree_two_is_not_prime():
         == "inapplicable"
 
 
+def test_variablewise_saturation_shifts_the_weight():
+    # graded by w = (1, 1, 1); under weight(w) with the lex tie-break the
+    # leading monomial would be x*z and z would look like a zero divisor,
+    # but w - e_z ranks y^2 first, the term with fewer z
+    res = binomial_prime(Ideal(XYZ, [_p("x*z - y^2")]))
+    assert res.status == "prime"
+    assert res.divisors == [1]
+    assert res.saturation_certified
+
+
 def test_binomial_inapplicable_cases():
     xy = Context(("x", "y"))
     tri = binomial_prime(Ideal(xy, [parse_polynomial("x^2 + x*y + y^2", xy)]))

@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from lndfilt.ideals import Budget, BudgetExhausted
 from lndfilt.parser import ParseError, parse_polynomial
 from lndfilt.poly import Context, random_polynomial
 
@@ -59,6 +60,22 @@ def test_divisor_must_be_nonzero_constant():
         P("x / 0")
     with pytest.raises(ParseError, match="divisor"):
         P("x / (y - y)")
+
+
+def test_power_of_a_sum_is_bounded_by_the_steps_left():
+    # (x + y + z)^2 may have C(4, 2) = 6 terms; the budget is read, not drawn
+    with Budget(6) as b:
+        assert P("(x + y + z)^2") == (X + Y + Z) ** 2
+    assert b.left == 6
+    with pytest.raises(BudgetExhausted, match=r"\(x \+ y \+ z\)\^2 may have"), \
+            Budget(5):
+        P("(x + y + z)^2")
+    # one-term bases are never bounded
+    with Budget(0):
+        assert P("(2*z)^100") == 2 ** 100 * Z ** 100
+    # the bound C(10^8 + 300, 300) is never formed in full
+    with pytest.raises(BudgetExhausted):
+        P("((x + y)^300)^100000000")
 
 
 def test_fold_case_for_uppercase_input():
