@@ -32,21 +32,26 @@ any scope each application reduces under a fresh budget, so R is bound + 1
 fresh budgets).
 
 `deg` answers without that loop whenever the generators' orders d_i are
-cached (every family build and every `default_bound` call fills them).
-Let N be the largest L(m) = sum m_i * d_i over the terms c_m x^m of
-q = nf(p).  By Leibniz, D^k(x^m) is a sum over ways to share k applications
-among the factors, with multinomial weights, and a factor x_i that takes
-more than d_i of them vanishes.  So D^(N+1)(q) = 0, and in D^N(q) only the
-terms with L(m) = N survive, each with every factor taking exactly d_i:
+cached.  A `default_bound` call fills them by iterating; every family
+build fills them without iterating, from the images on the extended
+generators (`FiltrationSpec._certified_orders`, which proves the declared
+degrees with the same Leibniz top term, `leibniz_top`).  Let N be the
+largest L(m) = sum m_i * d_i over the terms c_m x^m of q = nf(p).  By
+Leibniz, D^k(x^m) is a sum over ways to share k applications among the
+factors, with multinomial weights, and a factor x_i that takes more than
+d_i of them vanishes.  So D^(N+1)(q) = 0, and in D^N(q) only the terms
+with L(m) = N survive, each with every factor taking exactly d_i:
 
     D^N(q) = N! * T,  T = sum_{L(m) = N} c_m * prod (D^d_i(x_i) / d_i!)^m_i.
 
 Over Q, N! is a unit, so deg_D(p) = N exactly when nf(T) != 0: one product
-of the cached top iterates D^d_i(x_i) (kernel elements, kept packed from
-the order computation and unpacked once) and one normal form.  When the
-top terms cancel, as for s = y^2 - x*z on the new family (N = 4, degree 1),
-`deg` falls back to the loop; so it does when N exceeds an explicit bound,
-since bound + 1 applications can cost far less than T (z^3000000000).
+of the cached top iterates D^d_i(x_i) (kernel elements, from the family
+build's certificate or unpacked once from the order computation) and one
+normal form.  When the top terms cancel, as for s = y^2 - x*z on the new
+family (N = 4, degree 1), `deg` falls back to the loop; so it does when N
+exceeds an explicit bound, since bound + 1 applications can cost far less
+than T (z^3000000000).  A power in T that binary powering may not afford
+raises `BudgetExhausted` before it is formed (`ideals._power_overrun`).
 
 A "no" needs no iteration when an exact certificate gives it.
 `NonNilpotencyCertifier` holds two, built once per ring and run on each
@@ -75,9 +80,10 @@ from dataclasses import dataclass
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import factorial
+from operator import mul
 
-from .ideals import (Ideal, MonomialOrder, Packing, _budget, _steps_left,
-                     normal_form)
+from .ideals import (BudgetExhausted, Ideal, MonomialOrder, Packing, _budget,
+                     _power_overrun, _steps_left, normal_form)
 from .linalg import Echelon
 from .poly import NEG_INF, Context, Polynomial
 
@@ -320,23 +326,12 @@ class Derivation:
         or when nf(T) = 0."""
         orders, tops = self._nilp
         ords = [orders[nm] for nm in self.ring.ctx.names]
-        weights = {m: sum(e * d for e, d in zip(m, ords)) for m in q.terms}
-        n = max(weights.values())
+        n = max(sum(map(mul, m, ords)) for m in q.terms)
         if n > bound:
             return None
         if n == 0:  # D kills every generator in q
             return 0
-        t = self.ring.ctx.zero()
-        for m, c in q.terms.items():
-            if weights[m] != n:
-                continue
-            term = None
-            for e, d, x in zip(m, ords, tops):
-                if e:
-                    # divide before the power: d!^e can be huge (z^100000000)
-                    f = (x if d < 2 else x / factorial(d)) ** e
-                    term = f if term is None else term * f
-            t = t + term * c
+        t = leibniz_top(q, ords, tops, n)
         return n if not self.ring.nf(t).is_zero() else None
 
     def kernel_member(self, p: Polynomial) -> bool:
@@ -351,6 +346,33 @@ class Derivation:
         ims = ", ".join("%s->%s" % (nm, im)
                         for nm, im in zip(self.ring.ctx.names, self.images))
         return "Derivation(%s)" % ims
+
+
+def leibniz_top(q: Polynomial, ords, tops, n: int) -> Polynomial:
+    """T = sum of c_m * prod (tops_i / ords_i!)^m_i over the terms c_m x^m
+    of q with sum m_i * ords_i = n.  When each generator x_i has order
+    ords_i under a derivation D, with top iterate tops_i, and n is the
+    largest such sum over q's terms, D^n(q) = n! * T (module docstring).
+    Each power passes `ideals._power_overrun` first, and raises
+    `BudgetExhausted` where it would outrun the budget."""
+    names = q.ctx.names
+    t = q.ctx.zero()
+    for m, c in q.terms.items():
+        if sum(map(mul, m, ords)) != n:
+            continue
+        term = None
+        for i, (e, d, x) in enumerate(zip(m, ords, tops)):
+            if e:
+                # divide before the power: d!^e can be huge (z^100000000)
+                f = x if d < 2 else x / factorial(d)
+                why = _power_overrun(len(f.terms), e)
+                if why:
+                    raise BudgetExhausted("the top term's power (D^%d(%s)/%d!)^%d %s"
+                                          % (d, names[i], d, e, why))
+                f = f ** e
+                term = f if term is None else term * f
+        t = t + (q.ctx.const(c) if term is None else term * c)
+    return t
 
 
 # ------------------------------------------------ non-nilpotency certificates

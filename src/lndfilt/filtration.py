@@ -12,6 +12,14 @@ minimal such weight, so layer membership is computable.  The ideal of top
 forms Jhat presents the associated graded ring, on which any derivation of
 B induces a homogeneous one, its homogenization gr(D).
 
+The declared data is certified from the images on the extended generators,
+without iterating D: each image needs a representative modulo J of weight
+one below its generator's, and the Leibniz top terms then give each d_i
+exactly as the order of x_i, with its top iterate (`_certified_orders`,
+the `homogenization` argument with k = -1).  Where that certificate does
+not apply, D is applied and iterated as before, and those checks word any
+error.
+
 Properness is decided along two routes: the binomial lattice-ideal primality
 certificate for Jhat when it applies, otherwise an empirical route that
 compares the induced weight degree with the iteration oracle on sampled
@@ -24,10 +32,12 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from math import factorial
 
-from .derivations import BoundExceeded, Derivation, RingPresentation
+from .derivations import (BoundExceeded, Derivation, RingPresentation,
+                          leibniz_top)
 from .ideals import (BudgetExhausted, Ideal, MonomialOrder, binomial_prime,
-                     initial_ideal, normal_form)
+                     initial_ideal, nf_against, normal_form)
 from .linalg import solve_combination
 from .poly import (NEG_INF, Context, Polynomial, mono_wdeg,
                    random_polynomial)
@@ -114,9 +124,6 @@ class FiltrationSpec:
             if nm not in self.var_degrees:
                 raise PreconditionError("no declared degree for %s" % nm)
 
-        if validate:
-            self._validate()
-
         # fresh names for non-variable kernel generators and slices
         taken = set(ctx.names)
 
@@ -143,11 +150,13 @@ class FiltrationSpec:
                 omega.append(1)
         self.omega = tuple(omega)
         self.ext_ctx = Context(list(ctx.names) + [nm for nm, _ in self.adjoined])
-        self.j_order = MonomialOrder.weight(self.omega, self._tiebreak_perm())
         self.extended_ideal = Ideal(
             self.ext_ctx, [g.lift(self.ext_ctx) for g in self.ring.relations.gens]
             + [self.ext_ctx.var(nm) - p.lift(self.ext_ctx)
                for nm, p in self.adjoined])
+        if validate:
+            self._validate()
+        self.j_order = MonomialOrder.weight(self.omega, self._tiebreak_perm())
 
         self._jhat_ring = None
         self._properness = None
@@ -156,6 +165,15 @@ class FiltrationSpec:
     # ------------------------------------------------------------ plumbing
 
     def _validate(self):
+        """Check the kernel generators, the slices and the declared degrees,
+        and cache the generators' orders and top iterates on D.  The
+        certificate `_certified_orders` settles all of it at once; where it
+        does not apply, D is applied to each kernel generator and slice and
+        iterated on each generator, and these checks word any error."""
+        got = self._certified_orders()
+        if got is not None:
+            self.derivation._nilp = got
+            return
         D = self.derivation
         for z in self.kernel_gens:
             if z.constant_value() != 0:
@@ -176,6 +194,71 @@ class FiltrationSpec:
                 raise PreconditionError(
                     "declared degree %d of %s disagrees with oracle %s"
                     % (self.var_degrees[nm], nm, orders[nm]))
+
+    def _certified_orders(self):
+        """(orders, top iterates) of the ring generators, as
+        `Derivation.variable_orders` caches them, from the images on the
+        extended generators v of weight w_v; None where the certificate
+        does not apply.
+
+        1. q_v: a representative of D(v) modulo J, the stored image (D(p)
+           before reduction for an adjoined v = p) when its weight is
+           already below w_v, else its `nf_against` by J's generators as
+           given.  It must have weight w_v - 1, and be 0 where w_v = 0.
+        2. By increasing weight, top_v = (w_v - 1)! * T(q_v), with T the
+           Leibniz top term (`leibniz_top`) over the weights and the tops
+           already found, and top_v = v where w_v = 0.
+        3. Each ring generator and each adjoined slice needs
+           nf(pi(top_v)) != 0, where pi substitutes the adjoined
+           definitions; for a ring generator it is the top iterate.
+
+        Proof.  Let E be the derivation of the polynomial ring in the v
+        with E(v) = q_v.  The maps p -> D(pi(p)) and p -> pi(E(p)) are
+        derivations into B that agree on every v, so D^j(pi(p)) =
+        pi(E^j(p)).  E lowers weights by at least 1 and kills the weight-0
+        generators, so E^(w_v + 1)(v) = 0, and by Leibniz, as in the
+        `derivations` module docstring, E^(w_v)(v) = (w_v - 1)! * T(q_v) =
+        top_v.  Hence D^(d_i + 1)(x_i) = 0 and D^(d_i)(x_i) = pi(top) != 0:
+        x_i has order d_i = w_(x_i), the `homogenization` argument with
+        k = -1.  Likewise D kills each kernel generator (q_v = 0), and
+        each slice has D(s) = pi(q_s) != 0 and D^2(s) = 0.
+
+        A variable that is a kernel generator or a slice must carry weight
+        0 or 1, every weight must be >= 0 and the orders at most 256, the
+        bound `variable_orders` iterates to by default."""
+        ctx, omega, D = self.ring.ctx, self.omega, self.derivation
+        n = len(ctx)
+        if min(omega, default=0) < 0 or max(omega[:n], default=0) > 256:
+            return None
+        for elems, w in ((self.kernel_gens, 0), (self.slices, 1)):
+            for p in elems:
+                if p.constant_value() != 0 or (
+                        _is_variable(p) and omega[_var_index(p)] != w):
+                    return None
+        ext, gens = self.ext_ctx, self.extended_ideal.gens
+        order = MonomialOrder.weight(omega, self._tiebreak_perm())
+        qs = []
+        for img, w in zip([*D.images, *(D._apply_free(p) for _, p in self.adjoined)],
+                          omega):
+            q = img.lift(ext)
+            if q.weighted_degree(omega) >= w:
+                q = nf_against(q, gens, order)
+            if q.weighted_degree(omega) != (w - 1 if w else NEG_INF):
+                return None
+            qs.append(q)
+        tops = list(ext.gens())
+        for i in sorted(range(len(omega)), key=omega.__getitem__):
+            w = omega[i]
+            if w:
+                tops[i] = factorial(w - 1) * leibniz_top(qs[i], omega, tops, w - 1)
+        nilp = []  # ring generators first, then adjoined slices
+        for i, top in enumerate(tops):
+            if i < n or omega[i]:
+                b = self.ring.nf(self.ring_element_of(top))
+                if b.is_zero():
+                    return None
+                nilp.append(b)
+        return dict(zip(ctx.names, omega)), tuple(nilp[:n])
 
     def _tiebreak_perm(self):
         """Slices first, then positive ring variables, then weight zero,
@@ -272,6 +355,10 @@ class FiltrationSpec:
 
     def ring_element_of(self, ext_poly: Polynomial) -> Polynomial:
         """Substitute defining polynomials for adjoined variables."""
+        n = len(self.ring.ctx)  # the ring's variables come first
+        if not any(any(m[n:]) for m in ext_poly.terms):
+            return Polynomial(self.ring.ctx,
+                              {m[:n]: c for m, c in ext_poly.terms.items()})
         return ext_poly.subs(dict(self.adjoined), self.ring.ctx)
 
     def _empirical_probe(self, samples, seed):

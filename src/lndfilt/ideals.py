@@ -35,11 +35,12 @@ from contextvars import ContextVar
 from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import lcm
+from math import comb, lcm
+from operator import itemgetter, mul
 from typing import Sequence
 
 from .linalg import nullspace, smith_normal_form
-from .poly import Context, Polynomial, mono_div, mono_lcm, mono_mul, mono_wdeg
+from .poly import Context, Polynomial, mono_div, mono_lcm, mono_mul
 
 DEFAULT_BUDGET = 10 ** 6
 
@@ -85,10 +86,39 @@ def _steps_left(calls: int) -> int:
     return calls * DEFAULT_BUDGET if b is None else b.left
 
 
+def _power_overrun(t: int, e: int) -> str | None:
+    """Why a base of t terms to the power e may take more work than the
+    budget allows, or None.  Binary powering (`Polynomial.__pow__`) forms
+    at most the term products counted here, with C(k + t - 1, t - 1) terms
+    for each k-th power it multiplies; they may not exceed the steps the
+    active scope has left, or DEFAULT_BUDGET where fewer are left, so that
+    a small budget, which counts reductions, still admits the small powers
+    a command forms besides them.  The count is at least the power's own
+    term bound C(e + t - 1, t - 1).  Reads the budget and draws no step; a
+    one-term base and a power e < 2 expand nothing."""
+    if t < 2 or e < 2:
+        return None
+    cap = max(_steps_left(1), DEFAULT_BUDGET)
+    products, res, base = 0, 0, 1  # the exponents of result and base
+    while e:
+        if e & 1:
+            products += comb(res + t - 1, t - 1) * comb(base + t - 1, t - 1)
+            res += base
+        if e > 1:
+            products += comb(base + t - 1, t - 1) ** 2
+            base *= 2
+        e >>= 1
+        if products > cap:
+            return "may need more than %d term products" % cap
+    return None
+
+
 class MonomialOrder:
     """Total order on monomials, given by kind + permutation (+ weights)."""
 
-    __slots__ = ("kind", "perm", "weights")
+    # key(m): the sort key of monomial m, larger for a larger monomial;
+    # built once per order, since the reduction loops call it per term
+    __slots__ = ("kind", "perm", "weights", "key")
 
     def __init__(self, kind: str, perm: Sequence[int], weights=None):
         if kind not in ("lex", "grlex", "weight"):
@@ -105,6 +135,7 @@ class MonomialOrder:
                 raise ValueError("weight order needs a weight vector")
             if any(w < 0 for w in self.weights):
                 raise ValueError("weights must be non-negative")
+        self.key = _key_function(kind, self.perm, self.weights)
 
     @classmethod
     def lex(cls, n: int, perm=None):
@@ -117,14 +148,6 @@ class MonomialOrder:
     @classmethod
     def weight(cls, w: Sequence[int], perm=None):
         return cls("weight", perm if perm is not None else range(len(w)), w)
-
-    def key(self, m):
-        """Sort key; larger key means larger monomial."""
-        if self.kind == "lex":
-            return tuple(m[i] for i in self.perm)
-        if self.kind == "grlex":
-            return (sum(m),) + tuple(m[i] for i in self.perm)
-        return (mono_wdeg(m, self.weights),) + tuple(m[i] for i in self.perm)
 
     def signature(self):
         return (self.kind, self.perm, self.weights)
@@ -142,6 +165,21 @@ class MonomialOrder:
         """The largest field of the order keys of monos (0 when empty)."""
         key = self.key
         return max((max(key(m), default=0) for m in monos), default=0)
+
+
+def _key_function(kind: str, perm, weights):
+    """The sort key of an order: the weighted degree, if any, then the
+    exponents in tie-break order."""
+    if len(perm) > 1:
+        tie = itemgetter(*perm)
+    else:  # itemgetter of one index returns the item, not a tuple
+        def tie(m):
+            return tuple([m[i] for i in perm])
+    if kind == "lex":
+        return tie
+    if kind == "grlex":
+        return lambda m: (sum(m),) + tie(m)
+    return lambda m: (sum(map(mul, m, weights)),) + tie(m)
 
 
 class Packing:

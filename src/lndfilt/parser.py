@@ -13,15 +13,17 @@ with a nonzero constant divisor (so rational literals like 3/4 work).
 Identifiers must be variables of the supplied context.  Errors carry the
 offset into the input line.  A power of a base with t >= 2 terms may have
 up to C(e + t - 1, t - 1) terms; when that exceeds the reduction steps the
-active budget has left, the power raises `BudgetExhausted` before it is
-expanded (the budget is read, not drawn from).
+active budget has left, or when binary powering may form more term
+products than `ideals._power_overrun` admits, the power raises
+`BudgetExhausted` before it is expanded (the budget is read, not drawn
+from).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 
-from .ideals import BudgetExhausted, _steps_left
+from .ideals import BudgetExhausted, _power_overrun, _steps_left
 from .poly import Context, Polynomial
 
 
@@ -134,9 +136,11 @@ def _power(lex, ctx, fold):
         e = int(lex.expect("int"))
         left = _steps_left(1)
         if _terms_may_exceed(len(p.terms), e, left):
-            raise BudgetExhausted(
-                "%s may have more terms than the %d reduction steps left"
-                % (lex.text[start:lex.pos].strip(), left))
+            why = "may have more terms than the %d reduction steps left" % left
+        else:
+            why = _power_overrun(len(p.terms), e)
+        if why:
+            raise BudgetExhausted("%s %s" % (lex.text[start:lex.pos].strip(), why))
         p = p ** e
     return p
 

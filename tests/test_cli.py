@@ -171,7 +171,7 @@ DAN2 = ["--family=danielewski", "--n=2", "--P=y^2"]
 STEPPED = ["lnd-check", "--ring=x,y,z", "--relations=z^2",
            "--images=z;x^2 + x^3;0"]
 # the Leibniz top term of s^3 z (s = y^2 - x*z, N = 16) cancels, so deg
-# iterates: 7 reductions after the family build's 1
+# iterates: 7 reductions after the family build's 2
 CANCELLING = "--of=(y^2 - x*z)^3*z"
 # this build takes 3 reduction steps; --lam=2 --mu=4 alone takes none
 TRANSLATING = ["--lam=3", "--mu=2", "--a=1"]
@@ -180,16 +180,17 @@ TRANSLATING = ["--lam=3", "--mu=2", "--a=1"]
 EXHAUSTED = "reduction budget exhausted"
 
 
-@pytest.mark.parametrize("argv, reason", [
-    # the build leaves 0 steps, fewer than the 4 terms (y^2 - x*z)^3 may have
-    (["deg", *TOY, CANCELLING],
+@pytest.mark.parametrize("argv, budget, reason", [
+    # the build takes 2 steps and leaves 0, fewer than the 4 terms
+    # (y^2 - x*z)^3 may have
+    (["deg", *TOY, CANCELLING], 2,
      "(y^2 - x*z)^3 may have more terms than the 0 reduction steps left"),
-    (["auto", *DAN2, *TRANSLATING], EXHAUSTED),
-    (STEPPED, EXHAUSTED),
+    (["auto", *DAN2, *TRANSLATING], 1, EXHAUSTED),
+    (STEPPED, 1, EXHAUSTED),
 ])
-def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv, reason):
+def test_deg_lnd_check_auto_honour_gb_budget(capsys, argv, budget, reason):
     assert run(capsys, argv)[0] == 0
-    code, out, err = run(capsys, [*argv, "--gb-budget=1"])
+    code, out, err = run(capsys, [*argv, "--gb-budget=%d" % budget])
     assert code == 4
     assert out == ""
     assert err == "budget exhausted: %s\n" % reason
