@@ -365,7 +365,7 @@ def leibniz_top(q: Polynomial, ords, tops, n: int) -> Polynomial:
             if e:
                 # divide before the power: d!^e can be huge (z^100000000)
                 f = x if d < 2 else x / factorial(d)
-                why = _power_overrun(len(f.terms), e)
+                why = _power_overrun(f.terms, e)
                 if why:
                     raise BudgetExhausted("the top term's power (D^%d(%s)/%d!)^%d %s"
                                           % (d, names[i], d, e, why))

@@ -36,7 +36,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
 from math import comb, lcm
-from operator import itemgetter, mul
+from operator import add, itemgetter, mul
 from typing import Sequence
 
 from .linalg import nullspace, smith_normal_form
@@ -86,31 +86,62 @@ def _steps_left(calls: int) -> int:
     return calls * DEFAULT_BUDGET if b is None else b.left
 
 
-def _power_overrun(t: int, e: int) -> str | None:
-    """Why a base of t terms to the power e may take more work than the
-    budget allows, or None.  Binary powering (`Polynomial.__pow__`) forms
-    at most the term products counted here, with C(k + t - 1, t - 1) terms
-    for each k-th power it multiplies; they may not exceed the steps the
-    active scope has left, or DEFAULT_BUDGET where fewer are left, so that
-    a small budget, which counts reductions, still admits the small powers
-    a command forms besides them.  The count is at least the power's own
-    term bound C(e + t - 1, t - 1).  Reads the budget and draws no step; a
-    one-term base and a power e < 2 expand nothing."""
+def _power_overrun(monos, e: int) -> str | None:
+    """Why the power e of a polynomial with the monomials monos may take
+    more work than the budget allows, or None.
+
+    The work is the term products that binary powering
+    (`Polynomial.__pow__`) forms; they may not exceed the steps the active
+    scope has left, or DEFAULT_BUDGET where fewer are left, so that a
+    small budget, which counts reductions, still admits the small powers a
+    command forms besides them.  They are counted first with C(k + t - 1,
+    t - 1) terms for each k-th power of the t monomials, which is exact
+    when no two products of k of them coincide.  Only where that count
+    passes the cap are they counted again on the supports of the powers
+    (sets of sums of monomials, which contain each power's terms), at a
+    set addition per counted product: ((x^2 + z^3)^2)^100, whose 201
+    terms C(102, 2) overstates, is admitted, and (x + y)^10000 is not.
+    Reads the budget and draws no step; a one-term base and a power e < 2
+    expand nothing."""
+    t = len(monos)
     if t < 2 or e < 2:
         return None
     cap = max(_steps_left(1), DEFAULT_BUDGET)
-    products, res, base = 0, 0, 1  # the exponents of result and base
+    if _powering_products(1, e, add, lambda k: comb(k + t - 1, t - 1),
+                          cap) <= cap:
+        return None
+    # monomials packed one field per variable, wide enough for the power
+    width = (max(map(max, monos)) * e).bit_length() + 1
+    support = {sum(x << width * i for i, x in enumerate(m)) for m in monos}
+    if _powering_products(support, e, _sumset, len, cap) <= cap:
+        return None
+    return "may need more than %d term products" % cap
+
+
+def _sumset(a, b):
+    return {u + v for u in a for v in b}
+
+
+def _powering_products(base, e: int, mul, size, cap: int) -> int:
+    """The term products binary powering forms for the power e, on
+    stand-ins for the powers that mul multiplies and size measures;
+    counting stops once it passes cap, before the multiplication that
+    would pass it."""
+    products, res = 0, None  # res None: the power 0, the constant 1
     while e:
         if e & 1:
-            products += comb(res + t - 1, t - 1) * comb(base + t - 1, t - 1)
-            res += base
+            products += (1 if res is None else size(res)) * size(base)
+            if products > cap:
+                break
+            if e > 1:
+                res = base if res is None else mul(res, base)
         if e > 1:
-            products += comb(base + t - 1, t - 1) ** 2
-            base *= 2
+            products += size(base) ** 2
+            if products > cap:
+                break
+            base = mul(base, base)
         e >>= 1
-        if products > cap:
-            return "may need more than %d term products" % cap
-    return None
+    return products
 
 
 class MonomialOrder:

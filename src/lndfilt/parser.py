@@ -138,7 +138,7 @@ def _power(lex, ctx, fold):
         if _terms_may_exceed(len(p.terms), e, left):
             why = "may have more terms than the %d reduction steps left" % left
         else:
-            why = _power_overrun(len(p.terms), e)
+            why = _power_overrun(p.terms, e)
         if why:
             raise BudgetExhausted("%s %s" % (lex.text[start:lex.pos].strip(), why))
         p = p ** e

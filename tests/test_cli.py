@@ -207,6 +207,31 @@ def test_huge_power_of_a_sum_exits_4_before_expanding(capsys):
     assert run(capsys, ["deg", *DAN2, "--of=(x+y)^3"])[:2] == (0, "deg((x+y)^3) = 3\n")
 
 
+KR2 = ["--family=kr2", "--n=2", "--e=3", "--l=2", "--Q=t^2 + x + z*t"]
+
+
+@pytest.mark.parametrize("argv, power", [
+    # (x+y)^10000 has few terms, but binary powering forms over 16 million
+    # term products
+    (["deg", *DAN2, "--of=(x+y)^10000"], "(x+y)^10000"),
+    # T = ((x^2 + z^3)^2)^3000 / 1!, formed by deg's Leibniz top term
+    (["deg", *KR2, "--of=t^3000"], "the top term's power (D^1(t)/1!)^3000"),
+])
+def test_unaffordable_powers_exit_4_before_expanding(capsys, argv, power):
+    start = time.perf_counter()
+    code, out, err = run(capsys, argv)
+    assert time.perf_counter() - start < 1
+    assert (code, out) == (4, "")
+    assert err == ("budget exhausted: %s may need more than 1000000 term "
+                   "products\n" % power)
+
+
+def test_a_power_whose_products_collide_is_admitted(capsys):
+    # ((x^2 + z^3)^2)^100 has 201 terms, not the C(102, 2) that three
+    # unrelated terms would give, so its products are counted on supports
+    assert run(capsys, ["deg", *KR2, "--of=t^100"])[:2] == (0, "deg(t^100) = 100\n")
+
+
 # one valid call per subcommand
 EVERY_SUBCOMMAND = {
     "family": ["family", "danielewski", "--n=2", "--P=y^2"],

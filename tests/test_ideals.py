@@ -28,6 +28,29 @@ def _toy_ideal():
     return Ideal(XYZS, [_p("x^2*y - s^2", XYZS), _p("s - y^2 + x*z", XYZS)])
 
 
+def _generator_key(order, m):
+    """The order key written out field by field: the oracle."""
+    tie = tuple(m[i] for i in order.perm)
+    if order.kind == "lex":
+        return tie
+    if order.kind == "grlex":
+        return (sum(m),) + tie
+    return (sum(e * w for e, w in zip(m, order.weights)),) + tie
+
+
+def test_precomputed_keys_match_the_field_by_field_key():
+    rng = random.Random(5)
+    for n in range(4):
+        perm = rng.sample(range(n), n)
+        for order in (MonomialOrder.lex(n, perm), MonomialOrder.grlex(n, perm),
+                      MonomialOrder.weight([rng.randint(0, 3) for _ in range(n)],
+                                           perm)):
+            for _ in range(20):
+                m = tuple(rng.randint(0, 4) for _ in range(n))
+                assert order.key(m) == _generator_key(order, m)
+                assert type(order.key(m)) is tuple
+
+
 def test_order_keys():
     lex = MonomialOrder.lex(3)
     grlex = MonomialOrder.grlex(3)

@@ -7,7 +7,8 @@ from fractions import Fraction
 
 import pytest
 
-from lndfilt.ideals import Budget, BudgetExhausted
+from lndfilt import ideals, poly
+from lndfilt.ideals import Budget, BudgetExhausted, _power_overrun
 from lndfilt.parser import ParseError, parse_polynomial
 from lndfilt.poly import Context, random_polynomial
 
@@ -76,6 +77,43 @@ def test_power_of_a_sum_is_bounded_by_the_steps_left():
     # the bound C(10^8 + 300, 300) is never formed in full
     with pytest.raises(BudgetExhausted):
         P("((x + y)^300)^100000000")
+
+
+def test_power_of_a_sum_is_bounded_by_its_term_products():
+    # (x + y)^10000 has 10,001 terms, within the default budget, but its
+    # squarings alone form more than 16 million term products
+    with pytest.raises(BudgetExhausted,
+                       match=r"\(x\+y\)\^10000 may need more than 1000000 "
+                             r"term products"):
+        P("(x+y)^10000")
+    with Budget(10 ** 8):  # a larger budget admits more products
+        assert _power_overrun((X + Y).terms, 10000) is None
+    # a small budget still admits a small power: the products are compared
+    # with DEFAULT_BUDGET where fewer steps are left
+    with Budget(0):
+        assert _power_overrun((X + Y + Z).terms, 5) is None
+
+
+@pytest.mark.parametrize("base", ["x + y", "x + y + z", "x*y - 2*z + 1",
+                                  "(x + y)^2 + z"])
+def test_power_product_count_bounds_binary_powering(monkeypatch, base):
+    """The count `_power_overrun` compares is at least the term products
+    `Polynomial.__pow__` forms: with a cap one below those, it objects."""
+    formed = [0]
+    mul_terms = poly._mul_terms
+
+    def counted(a, b):
+        formed[0] += len(a) * len(b)
+        return mul_terms(a, b)
+
+    b = P(base)
+    monkeypatch.setattr(poly, "_mul_terms", counted)
+    monkeypatch.setattr(ideals, "DEFAULT_BUDGET", 0)
+    for e in range(2, 13):
+        formed[0] = 0
+        b ** e
+        with Budget(formed[0] - 1):
+            assert _power_overrun(b.terms, e) is not None, e
 
 
 def test_fold_case_for_uppercase_input():
