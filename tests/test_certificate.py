@@ -47,15 +47,12 @@ def _iterated(D: Derivation):
 
 
 def _family_argv(argv):
-    """The family flags of one command line, or None when it names none."""
+    """The flags the family of one command line takes, or None when it
+    names no family."""
     args = cli._parser().parse_args(argv)
     if getattr(args, "kind", None):  # the `family` subcommand
         args.family = args.kind
     if not getattr(args, "family", None):
-        return None
-    try:
-        cli._build_instance(args)
-    except cli.UsageError:  # a flag the family does not take
         return None
     flags = ["--family=" + args.family]
     for nm, _ in cli.FAMILIES[args.family].flags:
