@@ -44,14 +44,15 @@ with L(m) = N survive, each with every factor taking exactly d_i:
 
     D^N(q) = N! * T,  T = sum_{L(m) = N} c_m * prod (D^d_i(x_i) / d_i!)^m_i.
 
-Over Q, N! is a unit, so deg_D(p) = N exactly when nf(T) != 0: one product
-of the cached top iterates D^d_i(x_i) (kernel elements, from the family
-build's certificate or unpacked once from the order computation) and one
-normal form.  When the top terms cancel, as for s = y^2 - x*z on the new
-family (N = 4, degree 1), `deg` falls back to the loop; so it does when N
-exceeds an explicit bound, since bound + 1 applications can cost far less
-than T (z^3000000000).  A power in T that binary powering may not afford
-raises `BudgetExhausted` before it is formed (`ideals._power_overrun`).
+Over Q, N! is a unit, so deg_D(p) = N exactly when nf(T) != 0: one
+substitution of the cached top iterates D^d_i(x_i) (kernel elements, from
+the family build's certificate or unpacked once from the order
+computation), whose powers each derivation keeps, and one normal form.
+When the top terms cancel, as for s = y^2 - x*z on the new family (N = 4,
+degree 1), `deg` falls back to the loop; so it does when N exceeds an
+explicit bound, since bound + 1 applications can cost far less than T
+(z^3000000000).  A power in T that binary powering may not afford raises
+`BudgetExhausted` before it is formed (`ideals._power_overrun`).
 
 A "no" needs no iteration when an exact certificate gives it.
 `NonNilpotencyCertifier` holds two, built once per ring and run on each
@@ -85,7 +86,7 @@ from operator import mul
 from .ideals import (BudgetExhausted, Ideal, MonomialOrder, Packing, _budget,
                      _power_overrun, _steps_left, normal_form)
 from .linalg import Echelon
-from .poly import NEG_INF, Context, Polynomial
+from .poly import NEG_INF, Context, Polynomial, subs_terms
 
 
 class NotWellDefined(ValueError):
@@ -137,8 +138,9 @@ class NilpotencyCertificate:
 class Derivation:
     """A k-derivation of a presented ring, given by generator images."""
 
-    # _nilp: None, or (orders, tops) with each generator's nilpotency order
-    # d_i and its top iterate D^d_i(x_i) in normal form, in ctx order
+    # _nilp: None, or (orders, tops, tables) with each generator's
+    # nilpotency order d_i, its top iterate D^d_i(x_i) in normal form and
+    # the power table of D^d_i(x_i)/d_i! (`top_table`), in ctx order
     __slots__ = ("ring", "images", "_nilp")
 
     def __init__(self, ring: RingPresentation, images, check: bool = True):
@@ -197,16 +199,22 @@ class Derivation:
                 return None
             orders[nm] = 0 if got[0] == NEG_INF else got[0]
             tops.append(got[1])
-        self._nilp = (orders, tuple(tops))
+        self._cache_orders(orders, tops)
         return orders
+
+    def _cache_orders(self, orders: dict, tops) -> None:
+        """Cache the orders and top iterates, with a fresh power table of
+        each generator's factor in the Leibniz top term."""
+        self._nilp = (orders, tuple(tops), [
+            top_table(orders[nm], t) for nm, t in zip(self.ring.ctx.names, tops)])
 
     def _take_orders(self, multiple: "Derivation", scale) -> None:
         """Cache the orders and top iterates of multiple = scale * self, whose
         own are cached: (scale*D)^k = scale^k * D^k, so the orders agree and
         each top iterate is divided by scale^d_i."""
-        orders, tops = multiple._nilp
-        self._nilp = (orders, tuple(t / scale ** orders[nm] for nm, t
-                                    in zip(self.ring.ctx.names, tops)))
+        orders, tops, _ = multiple._nilp
+        self._cache_orders(orders, [t / scale ** orders[nm] for nm, t
+                                    in zip(self.ring.ctx.names, tops)])
 
     def is_locally_nilpotent(self, bound: int = 256, term_guard: int | None = None):
         """NilpotencyCertificate, or None as the no-within-bound verdict."""
@@ -324,14 +332,14 @@ class Derivation:
         and its top term T survives in the ring, so that deg_D(q) = N; None
         when N > bound (T could be huge, and the loop stops at the bound)
         or when nf(T) = 0."""
-        orders, tops = self._nilp
+        orders, _, tables = self._nilp
         ords = [orders[nm] for nm in self.ring.ctx.names]
         n = max(sum(map(mul, m, ords)) for m in q.terms)
         if n > bound:
             return None
         if n == 0:  # D kills every generator in q
             return 0
-        t = leibniz_top(q, ords, tops, n)
+        t = leibniz_top(q, ords, tables, n)
         return n if not self.ring.nf(t).is_zero() else None
 
     def kernel_member(self, p: Polynomial) -> bool:
@@ -348,31 +356,29 @@ class Derivation:
         return "Derivation(%s)" % ims
 
 
-def leibniz_top(q: Polynomial, ords, tops, n: int) -> Polynomial:
+def top_table(d: int, top: Polynomial) -> dict:
+    """The power table (`poly.power_terms`) of D^d(x)/d!, x's factor in
+    the Leibniz top term, from x's order d and top iterate D^d(x)."""
+    # divide before any power: d!^e can be huge (z^100000000)
+    return {1: (top if d < 2 else top / factorial(d)).terms}
+
+
+def leibniz_top(q: Polynomial, ords, tables, n: int) -> Polynomial:
     """T = sum of c_m * prod (tops_i / ords_i!)^m_i over the terms c_m x^m
-    of q with sum m_i * ords_i = n.  When each generator x_i has order
-    ords_i under a derivation D, with top iterate tops_i, and n is the
-    largest such sum over q's terms, D^n(q) = n! * T (module docstring).
-    Each power passes `ideals._power_overrun` first, and raises
+    of q with sum m_i * ords_i = n, where tables[i] is the power table of
+    tops_i / ords_i! (`top_table`); it keeps the powers formed.  When each
+    generator x_i has order ords_i under a derivation D, with top iterate
+    tops_i, and n is the largest such sum over q's terms, D^n(q) = n! * T
+    (module docstring).  Each power the tables lack passes
+    `ideals._power_overrun` before it is formed, and raises
     `BudgetExhausted` where it would outrun the budget."""
-    names = q.ctx.names
-    t = q.ctx.zero()
-    for m, c in q.terms.items():
-        if sum(map(mul, m, ords)) != n:
-            continue
-        term = None
-        for i, (e, d, x) in enumerate(zip(m, ords, tops)):
-            if e:
-                # divide before the power: d!^e can be huge (z^100000000)
-                f = x if d < 2 else x / factorial(d)
-                why = _power_overrun(f.terms, e)
-                if why:
-                    raise BudgetExhausted("the top term's power (D^%d(%s)/%d!)^%d %s"
-                                          % (d, names[i], d, e, why))
-                f = f ** e
-                term = f if term is None else term * f
-        t = t + (q.ctx.const(c) if term is None else term * c)
-    return t
+    top = {m: c for m, c in q.terms.items() if sum(map(mul, m, ords)) == n}
+    for m in top:
+        for i, (e, d, table) in enumerate(zip(m, ords, tables)):
+            if e not in table and (why := _power_overrun(table[1], e)):
+                raise BudgetExhausted("the top term's power (D^%d(%s)/%d!)^%d %s"
+                                      % (d, q.ctx.names[i], d, e, why))
+    return Polynomial(q.ctx, subs_terms(top, tables, (0,) * len(q.ctx)))
 
 
 # ------------------------------------------------ non-nilpotency certificates

@@ -35,7 +35,7 @@ from fractions import Fraction
 from math import factorial
 
 from .derivations import (BoundExceeded, Derivation, RingPresentation,
-                          leibniz_top)
+                          leibniz_top, top_table)
 from .ideals import (BudgetExhausted, Ideal, MonomialOrder, binomial_prime,
                      initial_ideal, nf_against, normal_form)
 from .linalg import solve_combination
@@ -172,7 +172,7 @@ class FiltrationSpec:
         iterated on each generator, and these checks word any error."""
         got = self._certified_orders()
         if got is not None:
-            self.derivation._nilp = got
+            self.derivation._cache_orders(*got)
             return
         D = self.derivation
         for z in self.kernel_gens:
@@ -247,10 +247,12 @@ class FiltrationSpec:
                 return None
             qs.append(q)
         tops = list(ext.gens())
+        tables = [top_table(0, v) for v in tops]
         for i in sorted(range(len(omega)), key=omega.__getitem__):
             w = omega[i]
             if w:
-                tops[i] = factorial(w - 1) * leibniz_top(qs[i], omega, tops, w - 1)
+                tops[i] = factorial(w - 1) * leibniz_top(qs[i], omega, tables, w - 1)
+                tables[i] = top_table(w, tops[i])
         nilp = []  # ring generators first, then adjoined slices
         for i, top in enumerate(tops):
             if i < n or omega[i]:

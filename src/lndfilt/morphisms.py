@@ -37,7 +37,7 @@ from .derivations import RingPresentation
 from .families import FamilyInstance, make_danielewski
 from .filtration import PreconditionError
 from .linalg import rational_kth_root, smith_with_transforms
-from .poly import Context, Polynomial, random_polynomial
+from .poly import Context, Polynomial, random_polynomial, subs_terms
 
 
 class MorphismError(ValueError):
@@ -64,6 +64,9 @@ class RingMorphism:
         self.source = source
         self.target = target
         self.images = {nm: target.nf(images[nm]) for nm in source.ctx.names}
+        # one power table per image (`poly.power_terms`), kept for every
+        # polynomial the map is applied to
+        self._powers = [{1: img.terms} for img in self.images.values()]
         self.inverse = inverse
         self._verified = None    # the inverse verify_inverse last accepted
         if check and not self.check():
@@ -72,11 +75,19 @@ class RingMorphism:
     def image_of(self, name: str) -> Polynomial:
         return self.images[name]
 
+    def _subs(self, p: Polynomial) -> Polynomial:
+        """p with the images substituted, before reduction; by name where
+        p is not in the source context."""
+        if p.ctx != self.source.ctx:
+            return p.subs(self.images, self.target.ctx)
+        ctx = self.target.ctx
+        return Polynomial(ctx, subs_terms(p.terms, self._powers, (0,) * len(ctx)))
+
     def apply(self, p: Polynomial) -> Polynomial:
-        return self.target.nf(p.subs(self.images, self.target.ctx))
+        return self.target.nf(self._subs(p))
 
     def check(self) -> bool:
-        return all(self.target.is_zero(g.subs(self.images, self.target.ctx))
+        return all(self.target.is_zero(self._subs(g))
                    for g in self.source.relations.gens)
 
     def compose(self, inner: "RingMorphism") -> "RingMorphism":
@@ -85,13 +96,11 @@ class RingMorphism:
                 inner.target.ctx.names != self.source.ctx.names:
             raise MorphismError("composition contexts do not line up")
         # RingMorphism takes the one normal form of each image
-        images = {nm: inner.images[nm].subs(self.images, self.target.ctx)
-                  for nm in inner.source.ctx.names}
+        images = {nm: self._subs(img) for nm, img in inner.images.items()}
         out = RingMorphism(inner.source, self.target, images, check=False)
         if self.inverse is not None and inner.inverse is not None:
-            inv_images = {nm: self.inverse.images[nm].subs(
-                              inner.inverse.images, inner.source.ctx)
-                          for nm in self.target.ctx.names}
+            inv_images = {nm: inner.inverse._subs(img)
+                          for nm, img in self.inverse.images.items()}
             inv = RingMorphism(self.target, inner.source, inv_images, check=False)
             out.inverse = inv
             inv.inverse = out

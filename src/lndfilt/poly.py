@@ -140,7 +140,10 @@ def mono_wdeg(a: Mono, w: Sequence[int]) -> int:
 
 
 def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object]) -> dict:
-    """Product of two term maps, with whatever coefficient type they hold."""
+    """Product of two term maps, with whatever coefficient type they hold,
+    looping over the smaller one."""
+    if len(a) > len(b):
+        a, b = b, a
     out: dict = {}
     for ma, ca in a.items():
         for mb, cb in b.items():
@@ -150,6 +153,48 @@ def _mul_terms(a: Mapping[Mono, object], b: Mapping[Mono, object]) -> dict:
                 out[m] = nc
             else:
                 out.pop(m, None)
+    return out
+
+
+def power_terms(table: dict, e: int) -> dict:
+    """The power e >= 1 of the term map table[1], from its power table, a
+    dict exponent -> term map of the powers formed so far, whose entries
+    callers share and must not mutate.  A missing power is formed by
+    binary powering and kept in the table with the squares it formed."""
+    got = table.get(e)
+    if got is None:
+        k, sq = 1, table[1]
+        while True:
+            if e & k:
+                got = sq if got is None else _mul_terms(got, sq)
+            if e < 2 * k:
+                break
+            k *= 2
+            sq = table.get(k) or table.setdefault(k, _mul_terms(sq, sq))
+        table[e] = got
+    return got
+
+
+def subs_terms(terms: Mapping[Mono, object], tables, zero: Mono) -> dict:
+    """The term map of sum c * prod power_terms(tables[i], m_i) over the
+    terms c x^m of terms, with zero the target's constant monomial: the
+    substitution kernel.  Products and sums are formed in the order of
+    the per-term `Polynomial` products it replaces, so the terms come out
+    in the same order."""
+    out: dict = {}
+    get = out.get
+    for m, c in terms.items():
+        acc = None
+        for table, e in zip(tables, m):
+            if e:
+                p = power_terms(table, e)
+                acc = p if acc is None else _mul_terms(acc, p)
+        for u, v in ({zero: 1} if acc is None else acc).items():
+            nc = get(u, 0) + c * v
+            if nc:
+                out[u] = nc
+            else:
+                del out[u]
     return out
 
 
@@ -227,11 +272,7 @@ class Polynomial:
                 return self.ctx.zero()
             return Polynomial(self.ctx, {m: co * c for m, co in self.terms.items()})
         self._check(other)
-        # iterate over the smaller operand
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
-        return Polynomial(self.ctx, _mul_terms(a, b))
+        return Polynomial(self.ctx, _mul_terms(self.terms, other.terms))
 
     __rmul__ = __mul__
 
@@ -244,14 +285,9 @@ class Polynomial:
     def __pow__(self, n: int):
         if n < 0:
             raise ValueError("negative power of a polynomial")
-        result = self.ctx.one()
-        base = self
-        while n:  # binary powering
-            if n & 1:
-                result = result * base
-            base = base * base if n > 1 else base
-            n >>= 1
-        return result
+        if n == 0:
+            return self.ctx.one()
+        return Polynomial(self.ctx, power_terms({1: self.terms}, n))
 
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -321,29 +357,14 @@ class Polynomial:
                 break
             else:
                 target = self.ctx
-        subs_polys = []
+        tables = []
         for nm in self.ctx.names:
-            if nm in images:
-                p = images[nm]
-                if p.ctx != target:
-                    raise ContextMismatch("image of %s not in target context" % nm)
-                subs_polys.append(p)
-            else:
-                subs_polys.append(target.var(nm))
-        out = target.zero()
-        # power cache per variable keeps repeated exponents cheap
-        pow_cache: list[dict] = [dict() for _ in subs_polys]
-        for m, c in self.terms.items():
-            term = target.const(c)
-            for i, e in enumerate(m):
-                if e == 0:
-                    continue
-                pc = pow_cache[i]
-                if e not in pc:
-                    pc[e] = subs_polys[i] ** e
-                term = term * pc[e]
-            out = out + term
-        return out
+            p = images[nm] if nm in images else target.var(nm)
+            if p.ctx != target:
+                raise ContextMismatch("image of %s not in target context" % nm)
+            tables.append({1: p.terms})
+        return Polynomial(target, subs_terms(self.terms, tables,
+                                             (0,) * len(target)))
 
     def lift(self, target: Context) -> "Polynomial":
         """Reinterpret in a context containing all our variables (by name)."""

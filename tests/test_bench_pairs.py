@@ -3,14 +3,16 @@
 from __future__ import annotations
 
 import importlib.util
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
 BENCH_PAIRS_PY = Path(__file__).resolve().parents[1] / "tools" / "bench_pairs.py"
 SPEC = {"end_to_end": [
-    {"name": "ops_per_s", "better": "higher", "bound": 0.25},
-    {"name": "op_p50_s", "better": "lower", "bound": 0.25},
+    {"name": "ops_per_s", "unit": "1/s", "better": "higher", "bound": 0.25},
+    {"name": "op_p50_s", "unit": "s", "better": "lower", "bound": 0.25},
 ], "per_layer": [
     {"name": "ideals.reductions", "unit": "count", "better": "lower"},
     {"name": "derivations.apply.calls", "unit": "count", "better": "lower"},
@@ -27,9 +29,10 @@ def load():
     return mod
 
 
-def record(pair, side, ops, p50, failed=0):
+def record(pair, side, ops, p50, failed=0, cal=1.0):
     return {"workload": "search", "pair": pair, "side": side, "attempted": 40,
-            "failed": failed, "metrics": {"ops_per_s": ops, "op_p50_s": p50}}
+            "failed": failed, "metrics": {"ops_per_s": ops, "op_p50_s": p50},
+            "calibration_s": cal}
 
 
 def test_summarise_canned_records():
@@ -54,6 +57,38 @@ def test_summarise_canned_records():
     assert p50["pairs_won"] == 2  # lower is better here
     assert p50["change"]["median"] == pytest.approx(0.20)
     assert (p50["better"], p50["bound"]) == ("lower", 0.25)
+
+
+def test_calibrated_ratio_factors_out_the_host_speed():
+    # the change ran while the host took twice as long for the calibration
+    # loop, and its raw numbers are the parent's: calibrated, it is twice
+    # as fast; the raw ratio and the pairs, which gate, do not move
+    records = []
+    for pair, (ops, p50) in enumerate([(10.0, 0.10), (12.0, 0.08),
+                                       (11.0, 0.09)]):
+        records += [record(pair, "parent", ops, p50, cal=0.5),
+                    record(pair, "change", ops, p50, cal=1.0)]
+    out = load().summarise(records, SPEC)["search"]
+    assert out["calibration_s"] == {"parent": [0.5] * 3, "change": [1.0] * 3}
+    ops, p50 = out["metrics"]["ops_per_s"], out["metrics"]["op_p50_s"]
+    assert (ops["ratio"], ops["pairs_won"]) == (1.0, 0)
+    assert ops["calibrated_ratio"] == pytest.approx(2.0)
+    assert (p50["ratio"], p50["pairs_won"]) == (1.0, 0)
+    assert p50["calibrated_ratio"] == pytest.approx(0.5)
+    # a metric that is no rate or time gets no calibrated ratio
+    spec = {"end_to_end": [{"name": "ops_per_s", "unit": "count",
+                            "better": "higher", "bound": 0.1}]}
+    assert "calibrated_ratio" not in \
+        load().summarise(records, spec)["search"]["metrics"]["ops_per_s"]
+
+
+def test_calibration_loop_imports_no_lndfilt():
+    mod = load()
+    perfbench = BENCH_PAIRS_PY.parents[1] / "perfbench"
+    assert mod.calibrate(perfbench) > 0
+    check = "assert not [m for m in sys.modules if m.startswith('lndfilt')]\n"
+    subprocess.run([sys.executable, "-c", mod.CALIBRATION + check,
+                    str(perfbench)], check=True, capture_output=True)
 
 
 def test_traced_counts_lists_every_count_and_flags_differences():

@@ -249,7 +249,7 @@ def test_top_term_cancels_on_multiples_of_the_new_family_slice():
 def test_top_iterates_are_the_derivations_own():
     for inst in _families():
         D = inst.derivation
-        orders, tops = D._nilp
+        orders, tops, _ = D._nilp
         for nm, top in zip(D.ring.ctx.names, tops):
             assert top == D.iterate(D.ring.ctx.var(nm), orders[nm])
             assert D.kernel_member(top)
@@ -294,7 +294,7 @@ def test_certificate_on_search_candidates_with_cleared_orders():
     assert rational
     rng = random.Random(1320)
     for D in rational:
-        orders, tops = D._nilp
+        orders, tops, _ = D._nilp
         for nm, top in zip(D.ring.ctx.names, tops):
             assert top == D.iterate(D.ring.ctx.var(nm), orders[nm])
         for p in _monomials_to_leibniz_degree(D, 8):
