@@ -35,7 +35,7 @@ from lndfilt.poly import Context, Polynomial
 hypothesis = pytest.importorskip("hypothesis")
 st = pytest.importorskip("hypothesis.strategies")
 
-SETTINGS = hypothesis.settings(max_examples=60, deadline=None,
+SETTINGS = hypothesis.settings(max_examples=30, deadline=None,
                                derandomize=True)
 XY = Context(("x", "y"))
 XS = Context(("x", "s"))
@@ -128,7 +128,7 @@ def test_kept_tables_match_fresh_ones(data):
               for _ in SOURCE.names]
     kept = [{1: img.terms} for img in images]
     zero = (0,) * len(target)
-    for _ in range(5):
+    for _ in range(3):
         p = data.draw(polynomials(SOURCE, max_degree=4))
         p = p + data.draw(COEFFS)
         got = Polynomial(target, poly.subs_terms(p.terms, kept, zero))
@@ -196,7 +196,7 @@ def _morphisms():
 @hypothesis.given(st.data())
 def test_apply_on_one_morphism_matches_subs(data):
     for alpha in _morphisms():
-        for _ in range(3):
+        for _ in range(2):
             p = data.draw(polynomials(alpha.source.ctx, max_degree=2))
             want = alpha.target.nf(p.subs(alpha.images, alpha.target.ctx))
             _same(alpha.apply(p), want)
@@ -219,16 +219,13 @@ def test_composition_matches_subs():
 
 # ------------------------------------------------------------ top term
 
-def _instances():
-    return [make_danielewski(2, _p("y^3 + x*y", XY)),
-            make_koras_russell2(2, 3, 2, _p("t^2 + x + z*t", XZT)),
-            make_new_family(2, 1, _p("s^2 + x*s", XS), _p("y^2 + x*y", XY))]
-
-
 @functools.cache
 def _derivations():
     """One derivation per family, built once, so their tables fill up."""
-    return [inst.derivation for inst in _instances()]
+    return [inst.derivation for inst in (
+        make_danielewski(2, _p("y^3 + x*y", XY)),
+        make_koras_russell2(2, 3, 2, _p("t^2 + x + z*t", XZT)),
+        make_new_family(2, 1, _p("s^2 + x*s", XS), _p("y^2 + x*y", XY)))]
 
 
 def _fresh_top(D, q):
@@ -279,6 +276,7 @@ def test_rescaled_candidates_keep_their_own_tables():
         orders, tops, tables = D._nilp
         for nm, top, table in zip(D.ring.ctx.names, tops, tables):
             assert table[1] == top_table(orders[nm], top)[1]
-        for q in [D.ring.ctx.var("z") ** 2, D.ring.ctx.var("y") * D.ring.ctx.var("z")]:
+        x, y, z = D.ring.ctx.gens()
+        for q in [z ** 2, y * z, x * y ** 2 * z]:
             ords, n, want = _fresh_top(D, q)
             _same(leibniz_top(q, ords, tables, n), want)

@@ -25,8 +25,8 @@ for the timed metrics (units 1/s and s) a calibrated ratio beside it, of
 the medians of each run's value scaled by its calibration seconds (a rate
 multiplied, a time divided), which factors out a host that changed speed
 between the sides, while the gate stays the raw ratio and pairs; the
-calibration seconds of every run; the failed-op counts of every run; every `count` metric of BENCHMARK.json
-from each side's traced run, with the names of the counts that differ;
+calibration seconds and the failed-op counts of every run; every `count`
+metric of BENCHMARK.json from each side's traced run, with the names of the counts that differ;
 the commits; and the Python version and CPU count of the machine.
 Standard library only.
 """
@@ -171,9 +171,9 @@ def main(argv=None):
             for side in order:
                 cal = calibrate(checkouts["change"] / "perfbench")
                 rec = run_once(checkouts[side], workload, args.seed, seconds)
-                rec["calibration_s"] = cal
                 commits[side] = rec["identity"].get("commit")
-                rec.update(workload=workload, pair=pair, side=side)
+                rec.update(workload=workload, pair=pair, side=side,
+                           calibration_s=cal)
                 records.append(rec)
                 print("%s pair %d %s: ops_per_s %.4g, failed %d, "
                       "calibration %.3f s" % (
