@@ -7,16 +7,20 @@ properness certificates (lattice-ideal primality, with an empirical
 fallback), bounded searches for all derivations of a given shape, and
 automorphism and isomorphism verdicts for families of Danielewski-type
 hypersurfaces.
+
+It holds what the command line reaches, plus the fallbacks and accessors
+a test names as library API.  The slow oracles for the paper's claims
+(iteration D^k, conjugation, the P1-P4 properties of gr, the closed-form
+layers, the joint kernel of a search) live with the tests.
 """
 
 from .derivations import (BoundExceeded, Derivation, NilpotencyCertificate,
-                          NotWellDefined, RingPresentation, conjugate)
+                          NotWellDefined, RingPresentation)
 from .families import (FamilyInstance, LndCandidate, LndSearchResult,
                        bounded_lnd_search, make_danielewski,
-                       make_koras_russell2, make_new_family, ml_evidence,
-                       singular_at_origin, verify_layer_formulas)
-from .filtration import (FiltrationSpec, GradedElement, GradedPresentation,
-                         LayerGenerator, PreconditionError, PropernessResult)
+                       make_koras_russell2, make_new_family)
+from .filtration import (FiltrationSpec, GradedPresentation, LayerGenerator,
+                         PreconditionError, PropernessResult)
 from .ideals import (BinomialPrimality, Budget, BudgetExhausted, Ideal,
                      MonomialOrder, binomial_prime, eliminate, ideal_equal,
                      initial_ideal, member, normal_form, saturate)
@@ -24,9 +28,8 @@ from .linalg import (rational_kth_root, rational_roots, smith_normal_form,
                      smith_with_transforms, solve_combination)
 from .morphisms import (AutomorphismData, CongruenceError, IsoDecision,
                         MorphismError, RingMorphism, build_auto_danielewski,
-                        build_auto_newfamily, composition_data,
-                        identity_morphism, iso_decide, normalize_subleading,
-                        verify_degree_preservation)
+                        build_auto_newfamily, identity_morphism, iso_decide,
+                        normalize_subleading, verify_degree_preservation)
 from .parser import ParseError, parse_polynomial
 from .poly import NEG_INF, Context, Polynomial, random_polynomial
 from .selftest import run_selftest
@@ -36,19 +39,17 @@ __version__ = "0.1.0"
 __all__ = [
     "AutomorphismData", "BinomialPrimality", "BoundExceeded", "Budget",
     "BudgetExhausted", "CongruenceError", "Context", "Derivation",
-    "FamilyInstance", "FiltrationSpec", "GradedElement",
-    "GradedPresentation", "Ideal", "IsoDecision", "LayerGenerator",
-    "LndCandidate", "LndSearchResult", "MonomialOrder", "MorphismError",
-    "NEG_INF", "NilpotencyCertificate", "NotWellDefined", "ParseError",
-    "Polynomial", "PreconditionError", "PropernessResult", "RingMorphism",
-    "RingPresentation", "binomial_prime", "bounded_lnd_search",
-    "build_auto_danielewski", "build_auto_newfamily", "composition_data",
-    "conjugate", "eliminate", "ideal_equal", "identity_morphism",
-    "initial_ideal", "iso_decide", "make_danielewski",
-    "make_koras_russell2", "make_new_family", "member", "ml_evidence",
-    "normal_form", "normalize_subleading", "parse_polynomial",
-    "random_polynomial", "rational_kth_root", "rational_roots",
-    "run_selftest", "saturate", "singular_at_origin", "smith_normal_form",
-    "smith_with_transforms", "solve_combination",
-    "verify_degree_preservation", "verify_layer_formulas",
+    "FamilyInstance", "FiltrationSpec", "GradedPresentation", "Ideal",
+    "IsoDecision", "LayerGenerator", "LndCandidate", "LndSearchResult",
+    "MonomialOrder", "MorphismError", "NEG_INF", "NilpotencyCertificate",
+    "NotWellDefined", "ParseError", "Polynomial", "PreconditionError",
+    "PropernessResult", "RingMorphism", "RingPresentation",
+    "binomial_prime", "bounded_lnd_search", "build_auto_danielewski",
+    "build_auto_newfamily", "eliminate", "ideal_equal",
+    "identity_morphism", "initial_ideal", "iso_decide", "make_danielewski",
+    "make_koras_russell2", "make_new_family", "member", "normal_form",
+    "normalize_subleading", "parse_polynomial", "random_polynomial",
+    "rational_kth_root", "rational_roots", "run_selftest", "saturate",
+    "smith_normal_form", "smith_with_transforms", "solve_combination",
+    "verify_degree_preservation",
 ]

@@ -131,9 +131,6 @@ class NilpotencyCertificate:
     orders: dict
     bound: int
 
-    def max_order(self) -> int:
-        return max(self.orders.values(), default=0)
-
 
 class Derivation:
     """A k-derivation of a presented ring, given by generator images."""
@@ -172,14 +169,6 @@ class Derivation:
     def apply(self, p: Polynomial) -> Polynomial:
         """Leibniz extension then reduction to normal form."""
         return self.ring.nf(self._apply_free(p))
-
-    def iterate(self, p: Polynomial, k: int) -> Polynomial:
-        q = self.ring.nf(p)
-        for _ in range(k):
-            if q.is_zero():
-                return q
-            q = self.apply(q)
-        return q
 
     def image_of(self, name: str) -> Polynomial:
         return self.images[self.ring.ctx.index(name)]
@@ -529,14 +518,3 @@ def _reduce_packed(work: dict, red, guard: int, step) -> dict:
                     del work[u]
     return rem
 
-
-def conjugate(d: Derivation, alpha) -> Derivation:
-    """alpha^-1 o d o alpha for an automorphism alpha with a known inverse."""
-    if alpha.inverse is None:
-        raise ValueError("conjugation needs an automorphism with inverse")
-    imgs = []
-    for nm in d.ring.ctx.names:
-        v = alpha.apply(d.ring.ctx.var(nm))
-        v = d.apply(v)
-        imgs.append(alpha.inverse.apply(v))
-    return Derivation(d.ring, imgs)

@@ -22,8 +22,7 @@ line, the triangular morphisms and the closed-form checks read about it.
 
 The module also houses the bounded derivation search (desk-scale evidence
 that every locally nilpotent derivation is a kernel multiple of the
-canonical one) and the layer-formula checks for the closed-form filtration
-descriptions.  The search refutes a candidate by an exact certificate
+canonical one).  The search refutes a candidate by an exact certificate
 where one applies (the tangent map and divisibility on B, then both on
 gr(B) against its homogenization gr(D)) and iterates only the rest; it
 counts the rejections by kind.
@@ -41,8 +40,8 @@ from .derivations import (Derivation, NilpotencyCertificate,
                           NonNilpotencyCertifier, RingPresentation,
                           certified_domain)
 from .filtration import FiltrationSpec, PreconditionError
-from .ideals import Ideal, exact_quotient
-from .linalg import Echelon, nullspace, rational_roots, solve_combination
+from .ideals import Ideal, _budget, exact_quotient
+from .linalg import nullspace, rational_roots, solve_combination
 from .poly import Context, Polynomial
 
 
@@ -153,7 +152,7 @@ def _translate_to_root(p: Polynomial, name: str, what: str) -> tuple:
     origin_row = {nm: Fraction(0) for nm in p.ctx.names}
     uni = [coeffs.get(j, p.ctx.zero()).eval_rational(origin_row)
            for j in range(max(coeffs) + 1)]
-    roots = rational_roots(uni)
+    roots = rational_roots(uni, _budget().step)
     if not roots:
         raise PreconditionError(
             "%s has no rational root in %s; cannot move the origin onto "
@@ -257,15 +256,6 @@ def make_new_family(n: int, e: int, P: Polynomial, Q: Polynomial) -> FamilyInsta
         plinth_gen=x ** (n + e), degrees={"x": 0, "y": d, "z": m * d})
 
 
-def singular_at_origin(relation: Polynomial) -> bool:
-    """Jacobian test at 0; requires the origin on the hypersurface."""
-    origin = {nm: Fraction(0) for nm in relation.ctx.names}
-    if relation.eval_rational(origin) != 0:
-        raise ValueError("origin is not on the hypersurface")
-    return all(relation.partial(nm).eval_rational(origin) == 0
-               for nm in relation.ctx.names)
-
-
 # ------------------------------------------------------------ bounded search
 
 @dataclass
@@ -291,10 +281,6 @@ class LndSearchResult:
     @property
     def rejected(self) -> int:
         return sum(self.rejections.values())
-
-    def all_classified_canonical(self) -> bool:
-        return all(c.classification == "multiple-of-canonical"
-                   for c in self.candidates)
 
 
 def _monomials_up_to(ctx: Context, degree: int):
@@ -489,118 +475,3 @@ def _quotient_by_linear_solve(inst, target, plinth, degree_bound):
             f = f + mono * c
     return f
 
-
-def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
-                degree_cap: int = 6) -> dict:
-    """Intersect the kernels of all found derivations on polynomials of
-    bounded degree and compare with the kernel-variable algebra."""
-    if not result.candidates:
-        raise PreconditionError("empty search result")
-    ring = inst.ring
-    ctx = ring.ctx
-    monos = [ctx.monomial(m) for m in _monomials_up_to(ctx, degree_cap)]
-    # one equation per candidate and monomial of sum_j u_j * D(monos[j])
-    rows = []
-    for cand in result.candidates:
-        eqs: dict = {}
-        for j, m in enumerate(monos):
-            for mm, c in ring.nf(cand.derivation.apply(m)).terms.items():
-                eqs.setdefault(mm, {})[j] = c
-        rows.extend(eqs.values())
-    kernel_vecs = nullspace(rows, len(monos))
-
-    computed = Echelon()
-    computed_polys = []
-    for vec in kernel_vecs:
-        p = ctx.zero()
-        for c, m in zip(vec, monos):
-            if c:
-                p = p + m * c
-        q = ring.nf(p)
-        if computed.add(q.terms):
-            computed_polys.append(q)
-
-    predicted = Echelon()
-    predicted_polys = []
-    for _, mono in inst.filtration.kernel_products(degree_cap):
-        q = ring.nf(mono)
-        if predicted.add(q.terms):
-            predicted_polys.append(q)
-
-    missing = [str(p) for p in predicted_polys if not computed.contains(p.terms)]
-    extra = [str(p) for p in computed_polys if not predicted.contains(p.terms)]
-    return {
-        "degree_cap": degree_cap,
-        "derivations_used": len(result.candidates),
-        "computed_dimension": computed.dim(),
-        "predicted_dimension": predicted.dim(),
-        "extra": extra,
-        "missing": missing,
-        "equal": not missing and not extra,
-    }
-
-
-# ------------------------------------------------------------ layer formulas
-
-def _stated_layer_generators(inst: FamilyInstance, weight: int):
-    """The closed-form module generators of the layer at a given weight.
-
-    They are the products of the slice and the generators of declared
-    degree > 1, taken in rising degree, where each factor's power stays
-    below the next factor's degree divided by its own and the last
-    factor's power is free.
-    """
-    ctx = inst.ring.ctx
-    chain = [(1, inst.slice_elem)] + [
-        (d, ctx.var(nm)) for d, nm in sorted(
-            (d, nm) for nm, d in inst.degrees.items() if d > 1)]
-    partial = [(ctx.one(), weight)]
-    for (d, g), (d_next, _) in zip(chain, chain[1:]):
-        partial = [(p * g ** k, rest - d * k) for p, rest in partial
-                   for k in range(min(d_next // d - 1, rest // d) + 1)]
-    d, g = chain[-1]
-    return [p * g ** (rest // d) for p, rest in partial if rest % d == 0]
-
-
-def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12) -> dict:
-    """Check each filtration-coordinate monomial against the closed-form
-    layer description: in the stated span of its weight, not in the span
-    one lower.  The probes carry weight-zero decorations of degree <= 2.
-
-    Module coefficients over the kernel variables are enumerated up to a
-    cap derived from the degrees; when a probe misses its stated layer, the
-    check runs once more with twice the cap before reporting mismatches.
-    """
-    fs = inst.filtration
-    ring = inst.ring
-    # enough kernel-variable degree to express the rewriting chains of the
-    # main variable's power reductions, plus the probe decorations' 2 and 4
-    lowest = min(d for d in inst.degrees.values() if d > 1)
-    cap = inst.plinth_gen.degree() * (max_degree // lowest) + 2 + 4
-
-    probes: dict = {}
-    for mono, w, b in fs.probes(max_degree, 2):
-        probes.setdefault(w, []).append((mono, b))
-
-    for coeff_cap in (cap, 2 * cap):
-        coeff_monos = [p for _, p in fs.kernel_products(coeff_cap)]
-        span = Echelon()
-        mismatches = []
-        for w in range(max_degree + 1):
-            for mono, b in probes.get(w, []):
-                if span.contains(b.terms):
-                    mismatches.append((str(mono), w, "already in the layer below"))
-            for gen in _stated_layer_generators(inst, w):
-                for cm in coeff_monos:
-                    span.add(ring.nf(cm * gen).terms)
-            for mono, b in probes.get(w, []):
-                if not span.contains(b.terms):
-                    mismatches.append((str(mono), w, "not in the stated layer"))
-        if all(kind != "not in the stated layer" for _, _, kind in mismatches):
-            break
-    return {
-        "max_degree": max_degree,
-        "coefficient_cap": coeff_cap,
-        "probes": sum(len(v) for v in probes.values()),
-        "mismatches": mismatches,
-    }

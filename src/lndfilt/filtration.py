@@ -31,14 +31,12 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from fractions import Fraction
 from math import factorial
 
 from .derivations import (BoundExceeded, Derivation, RingPresentation,
                           leibniz_top, top_table)
 from .ideals import (BudgetExhausted, Ideal, MonomialOrder, binomial_prime,
                      initial_ideal, nf_against, normal_form)
-from .linalg import solve_combination
 from .poly import (NEG_INF, Context, Polynomial, mono_wdeg,
                    random_polynomial)
 
@@ -65,15 +63,6 @@ class PropernessResult:
 
     def __bool__(self):
         return self.status == "proper"
-
-
-@dataclass
-class GradedElement:
-    poly: Polynomial
-    degree: object             # int or NEG_INF
-
-    def is_zero(self):
-        return self.poly.is_zero()
 
 
 class GradedPresentation:
@@ -405,12 +394,6 @@ class FiltrationSpec:
         self._graded = GradedPresentation(self._graded_ring(), self.omega)
         return self._graded
 
-    def gr(self, p: Polynomial) -> GradedElement:
-        """Symbol of a ring element in the associated graded ring."""
-        self.graded_presentation()
-        q = self.min_weight_nf(p)
-        return GradedElement(self._symbol(q), q.weighted_degree(self.omega))
-
     # ------------------------------------------------------------ layers
 
     def candidate_layers(self, r: int):
@@ -457,86 +440,6 @@ class FiltrationSpec:
                 reps.append(zer)
             accepted.append(LayerGenerator(w, mono, canon))
         return accepted
-
-    def layer_equality_check(self, max_degree: int = 12):
-        """Compare formal weight, minimal-preimage weight and the iteration
-        oracle on the probes (see `probes`; the weight-zero directions are
-        unbounded, so their degree is capped at 2).  Returns the mismatches."""
-        D = self.derivation
-        mismatches = []
-        for mono, w, b in self.probes(max_degree, 2):
-            d_oracle = D.deg(b)
-            d_ind = self.omega_b(b)
-            if not (d_oracle == w == d_ind):
-                mismatches.append((mono, w, d_oracle, d_ind))
-        return mismatches
-
-    # ------------------------------------------------------------ gr properties
-
-    def gr_properties_report(self, pairs: int = 200, seed: int = 7):
-        """P1 multiplicativity, P2 domination, P3 additivity, P4 cancellation
-        on random pairs; returns a dict report with any counterexample."""
-        graded = self.graded_presentation()
-        rng = random.Random(seed)
-        report = {"pairs": pairs, "P1": 0, "P2": 0, "P3": 0, "P4": 0,
-                  "oracle_checks": 0, "counterexample": None}
-
-        def rand_nonzero():
-            while True:
-                a = random_polynomial(self.ring.ctx, rng, 2, 3)
-                if not self.ring.nf(a).is_zero():
-                    return a
-
-        def fail(tag, data):
-            report["counterexample"] = (tag, data)
-            return report
-
-        for k in range(pairs):
-            a, b = rand_nonzero(), rand_nonzero()
-            ga, gb = self.gr(a), self.gr(b)
-            if k % 10 == 0:
-                if self.derivation.deg(a) != ga.degree:
-                    return fail("degree-oracle", a)
-                report["oracle_checks"] += 1
-            # P1
-            gab = self.gr(a * b)
-            if gab.degree != ga.degree + gb.degree:
-                return fail("P1-degree", (a, b))
-            if graded.nf(gab.poly - ga.poly * gb.poly).is_zero():
-                report["P1"] += 1
-            else:
-                return fail("P1", (a, b))
-            # P2: force deg a > deg b by swapping / resampling
-            hi, lo, ghi, glo = a, b, ga, gb
-            if ghi.degree < glo.degree:
-                hi, lo, ghi, glo = b, a, gb, ga
-            if ghi.degree > glo.degree:
-                gsum = self.gr(hi + lo)
-                if gsum.degree == ghi.degree and \
-                        graded.nf(gsum.poly - ghi.poly).is_zero():
-                    report["P2"] += 1
-                else:
-                    return fail("P2", (hi, lo))
-            # P3/P4 on a same-degree pair built from a
-            lam = Fraction(rng.choice([-1, 1, 2, 3, -2]))
-            low = random_polynomial(self.ring.ctx, rng, max_degree=1, max_terms=2)
-            if self.omega_b(low) >= ga.degree:
-                low = self.ring.ctx.zero()
-            b2 = lam * a + low
-            gb2 = self.gr(b2)
-            if gb2.degree == ga.degree:
-                s = self.gr(a + b2)
-                if s.degree == ga.degree:
-                    if graded.nf(s.poly - ga.poly - gb2.poly).is_zero():
-                        report["P3"] += 1
-                    else:
-                        return fail("P3", (a, b2))
-                else:
-                    if graded.nf(ga.poly + gb2.poly).is_zero():
-                        report["P4"] += 1
-                    else:
-                        return fail("P4", (a, b2))
-        return report
 
     # ------------------------------------------------------------ induced derivation
 
@@ -601,7 +504,7 @@ class FiltrationSpec:
                 "induced derivation not visibly nilpotent within %d" % nilp_bound)
         return gr_d, d
 
-    # ------------------------------------------------------------ slice expansion
+    # ------------------------------------------------------------ kernel products
 
     def kernel_products(self, bound: int):
         """Yield (exponents, product) for the products of the kernel
@@ -613,31 +516,6 @@ class FiltrationSpec:
             for j, e in expo:
                 a = a * kg[j] ** e
             yield expo, a
-
-    def local_slice_expansion(self, f: Polynomial, kernel_degree_bound: int = 8):
-        """Try to write c^i * f as sum a_k s^k with a_k in the kernel algebra,
-        where s is the first slice, c = D(s) and i = deg(f).  Returns the
-        dict k -> a_k on success, None when the bounded search fails."""
-        D = self.derivation
-        s = self.slices[0]
-        c = D.apply(s)
-        i = D.deg(f)
-        if i == NEG_INF:
-            return {}
-        i = int(i)
-        target = self.ring.nf((c ** i) * f)
-        raw = []
-        for expo, a in self.kernel_products(kernel_degree_bound):
-            for k in range(i + 1):
-                raw.append(((tuple(expo), k), self.ring.nf(a * s ** k)))
-        sol = solve_combination([p.terms for _, p in raw], target.terms)
-        if sol is None:
-            return None
-        out: dict = {}
-        for coeff, (tag, _) in zip(sol, raw):
-            if coeff:
-                out.setdefault(tag[1], []).append((tag[0], coeff))
-        return out
 
 
 def _is_variable(p: Polynomial) -> bool:

@@ -258,11 +258,13 @@ def rational_kth_root(q: Fraction, k: int):
     return -root if neg else root
 
 
-def rational_roots(coeffs):
+def rational_roots(coeffs, step):
     """All rational roots of sum coeffs[i] * T^i, coefficients rational.
 
     Uses the rational root bound on the integer-cleared polynomial; the
-    zero polynomial is rejected rather than reporting everything.
+    zero polynomial is rejected rather than reporting everything.  `step`
+    is called once per trial division and once per candidate evaluated,
+    so a caller's budget bounds the work a large constant term asks for.
     """
     coeffs = [Fraction(c) for c in coeffs]
     while coeffs and coeffs[-1] == 0:
@@ -280,20 +282,23 @@ def rational_roots(coeffs):
         low += 1
     roots = [Fraction(0)] if low > 0 else []
     a0, an = abs(ints[low]), abs(ints[-1])
-    for p in _divisors(a0):
-        for q in _divisors(an):
+    dens = _divisors(an, step)
+    for p in _divisors(a0, step):
+        for q in dens:
             for cand in (Fraction(p, q), Fraction(-p, q)):
                 if cand in roots:
                     continue
+                step()
                 if sum(c * cand ** i for i, c in enumerate(coeffs)) == 0:
                     roots.append(cand)
     return roots
 
 
-def _divisors(n: int):
+def _divisors(n: int, step):
     out = []
     d = 1
     while d * d <= n:
+        step()
         if n % d == 0:
             out.append(d)
             if d != n // d:

@@ -106,12 +106,6 @@ class RingMorphism:
             inv.inverse = out
         return out
 
-    def is_identity(self) -> bool:
-        if self.source.ctx.names != self.target.ctx.names:
-            return False
-        return all(self.target.eq(img, self.target.ctx.var(nm))
-                   for nm, img in self.images.items())
-
     def verify_inverse(self) -> bool:
         """Whether inverse after self and self after inverse fix every variable.
 
@@ -500,11 +494,3 @@ def verify_degree_preservation(alpha: RingMorphism, derivation, samples: int = 2
     return {"samples": len(probes), "failures": failures,
             "ok": not failures}
 
-
-def composition_data(d1: AutomorphismData, d2: AutomorphismData,
-                     conductor: int) -> AutomorphismData:
-    """Data of the composite (apply d1 first, then d2); conductor is the
-    x-power in the y-translation term."""
-    ctx = d1.a.ctx
-    a = _scaled_x(d1.a, d2.lam, ctx) * d2.lam ** conductor + d2.a * d1.mu
-    return AutomorphismData(d1.lam * d2.lam, d1.mu * d2.mu, a)

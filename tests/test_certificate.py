@@ -13,6 +13,7 @@ iterates D as before, and those checks word the error.
 from __future__ import annotations
 
 import functools
+import json
 import shlex
 import sys
 from pathlib import Path
@@ -63,10 +64,15 @@ def _family_argv(argv):
 @functools.cache
 def _corpus_families():
     """The distinct family flags of the golden corpus and of the
-    workloads at seeds 1 to 3."""
-    lines = (ROOT / "tests" / "golden" / "commands.txt").read_text().splitlines()
+    workloads at seeds 1 to 3.  A corpus line that exits with a usage,
+    parse or precondition error (exit 1, 2 or 3 in expected.json) may
+    name no instance: its flags may not parse or its family not build."""
+    golden = ROOT / "tests" / "golden"
+    lines = (golden / "commands.txt").read_text().splitlines()
+    expected = json.loads((golden / "expected.json").read_text())
     argvs = [shlex.split(ln) for ln in lines
-             if ln.strip() and not ln.startswith("#")]
+             if ln.strip() and not ln.startswith("#")
+             and expected[ln.strip()]["exit"] not in (1, 2, 3)]
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads

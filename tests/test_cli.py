@@ -226,6 +226,19 @@ def test_unaffordable_powers_exit_4_before_expanding(capsys, argv, power):
                    "products\n" % power)
 
 
+def test_large_constant_term_exits_4_within_the_budget(capsys):
+    # moving the origin onto y^2 = 10^20 + 39 would trial-divide up to
+    # 10^10; each division and each candidate root draws a budget step
+    argv = ["deg", "--family=danielewski", "--n=2",
+            "--P=y^2 - 100000000000000000039", "--of=y"]
+    for extra, seconds in (([], 2), (["--gb-budget=100"], 0.25)):
+        start = time.perf_counter()
+        code, out, err = run(capsys, argv + extra)
+        assert time.perf_counter() - start < seconds
+        assert (code, out, err) == (
+            4, "", "budget exhausted: reduction budget exhausted\n")
+
+
 def test_a_power_whose_products_collide_is_admitted(capsys):
     # ((x^2 + z^3)^2)^100 has 201 terms, not the C(102, 2) that three
     # unrelated terms would give, so its products are counted on supports

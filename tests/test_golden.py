@@ -1,56 +1,24 @@
 """Golden corpus: frozen stdout and exit code of command line calls.
 
-Each line of golden/commands.txt runs through `cli.main` in-process, as
-written and again with `--json`, from inside golden/ so that
-`script demo.txt` finds its file.  `script` runs only as written: its own
-`--json` does not reach the lines it reads.  The expected bytes are in
-golden/expected.json.  After a deliberate output change, rewrite them with
+`golden_corpus` reads golden/commands.txt and runs each line in-process.
+The expected bytes are in golden/expected.json.  After a deliberate output
+change, rewrite them with
 
     PYTHONPATH=src python3 tests/test_golden.py --update
 """
 
 from __future__ import annotations
 
-import contextlib
-import io
 import json
 import os
-import shlex
 import sys
 
 import pytest
 
-from lndfilt import cli, ideals
+from golden_corpus import GOLDEN, corpus, run
+from lndfilt import ideals
 
-GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
 EXPECTED = os.path.join(GOLDEN, "expected.json")
-
-
-def corpus():
-    with open(os.path.join(GOLDEN, "commands.txt"), encoding="utf-8") as fh:
-        lines = [ln.strip() for ln in fh]
-    out = []
-    for line in lines:
-        if not line or line.startswith("#"):
-            continue
-        out.append(line)
-        if not line.startswith("script"):
-            out.append(line + " --json")
-    return out
-
-
-def run(line):
-    """(exit code, stdout) of one command, run from inside golden/."""
-    buf = io.StringIO()
-    cwd = os.getcwd()
-    os.chdir(GOLDEN)
-    try:
-        with contextlib.redirect_stdout(buf), \
-                contextlib.redirect_stderr(io.StringIO()):
-            code = cli.main(shlex.split(line))
-    finally:
-        os.chdir(cwd)
-    return code, buf.getvalue()
 
 
 def _expected():

@@ -14,6 +14,7 @@ from fractions import Fraction
 
 import pytest
 
+from lndfilt.ideals import Budget, BudgetExhausted
 from lndfilt.linalg import (Echelon, integer_kth_root, nullspace,
                             rational_kth_root, rational_roots,
                             smith_normal_form, smith_with_transforms,
@@ -230,18 +231,35 @@ def test_integer_and_rational_roots():
     assert rational_kth_root(Fraction(0), 5) == 0
 
 
+def _free():
+    pass
+
+
 def test_rational_roots_of_polynomials():
     # 6 T^2 - 5 T + 1 = (2T - 1)(3T - 1)
-    assert sorted(rational_roots([1, -5, 6])) == [Fraction(1, 3), Fraction(1, 2)]
+    assert sorted(rational_roots([1, -5, 6], _free)) == \
+        [Fraction(1, 3), Fraction(1, 2)]
     # T^3 - T
-    assert sorted(rational_roots([0, -1, 0, 1])) == [-1, 0, 1]
+    assert sorted(rational_roots([0, -1, 0, 1], _free)) == [-1, 0, 1]
     # T^2 + 1 has no rational roots
-    assert rational_roots([1, 0, 1]) == []
-    assert rational_roots([5]) == []
+    assert rational_roots([1, 0, 1], _free) == []
+    assert rational_roots([5], _free) == []
     # rational coefficients are cleared first
-    assert rational_roots([Fraction(1, 2), Fraction(3, 2)]) == [Fraction(-1, 3)]
+    assert rational_roots([Fraction(1, 2), Fraction(3, 2)], _free) == \
+        [Fraction(-1, 3)]
     with pytest.raises(ValueError):
-        rational_roots([0, 0])
+        rational_roots([0, 0], _free)
+
+
+def test_rational_roots_charge_every_division_and_candidate():
+    calls = []
+    rational_roots([1, -5, 6], lambda: calls.append(1))
+    # trial divisions d = 1, 2 for 6 and d = 1 for 1; candidates +-1/q
+    # for the four divisors q of 6
+    assert len(calls) == 2 + 1 + 8
+    # T^2 - (10^20 + 39): about 10^10 trial divisions, cut by the budget
+    with pytest.raises(BudgetExhausted):
+        rational_roots([-(10 ** 20 + 39), 0, 1], Budget(1000).step)
 
 
 def test_rational_roots_random_products():
@@ -257,5 +275,5 @@ def test_rational_roots_random_products():
                 nxt[i + 1] += c
                 nxt[i] -= c * r
             coeffs = nxt
-        found = sorted(rational_roots(coeffs))
+        found = sorted(rational_roots(coeffs, _free))
         assert found == roots
