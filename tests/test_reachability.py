@@ -119,8 +119,7 @@ def entered():
             run(line)
     finally:
         sys.setprofile(None)
-    real = {}
-    return {(real.setdefault(f, os.path.realpath(f)), n) for f, n in seen}
+    return {(os.path.realpath(f), n) for f, n in seen}
 
 
 def problems():
