@@ -8,10 +8,10 @@ fallback), bounded searches for all derivations of a given shape, and
 automorphism and isomorphism verdicts for families of Danielewski-type
 hypersurfaces.
 
-It holds what the command line reaches, plus the fallbacks and accessors
-a test names as library API.  The slow oracles for the paper's claims
-(iteration D^k, conjugation, the P1-P4 properties of gr, the closed-form
-layers, the joint kernel of a search) live with the tests.
+It holds what the command line reaches, plus the dunders and small defs
+that tests/test_reachability.py lists.  The slow oracles for the paper's
+claims (iteration D^k, conjugation, the P1-P4 properties of gr, the
+closed-form layers, the joint kernel of a search) live with the tests.
 """
 
 from .derivations import (BoundExceeded, Derivation, NilpotencyCertificate,
@@ -22,8 +22,8 @@ from .families import (FamilyInstance, LndCandidate, LndSearchResult,
 from .filtration import (FiltrationSpec, GradedPresentation, LayerGenerator,
                          PreconditionError, PropernessResult)
 from .ideals import (BinomialPrimality, Budget, BudgetExhausted, Ideal,
-                     MonomialOrder, binomial_prime, eliminate, ideal_equal,
-                     initial_ideal, member, normal_form, saturate)
+                     MonomialOrder, binomial_prime, ideal_equal,
+                     initial_ideal, member, normal_form)
 from .linalg import (rational_kth_root, rational_roots, smith_normal_form,
                      smith_with_transforms, solve_combination)
 from .morphisms import (AutomorphismData, CongruenceError, IsoDecision,
@@ -45,11 +45,11 @@ __all__ = [
     "NotWellDefined", "ParseError", "Polynomial", "PreconditionError",
     "PropernessResult", "RingMorphism", "RingPresentation",
     "binomial_prime", "bounded_lnd_search", "build_auto_danielewski",
-    "build_auto_newfamily", "eliminate", "ideal_equal",
+    "build_auto_newfamily", "ideal_equal",
     "identity_morphism", "initial_ideal", "iso_decide", "make_danielewski",
     "make_koras_russell2", "make_new_family", "member", "normal_form",
     "normalize_subleading", "parse_polynomial", "random_polynomial",
-    "rational_kth_root", "rational_roots", "run_selftest", "saturate",
+    "rational_kth_root", "rational_roots", "run_selftest",
     "smith_normal_form", "smith_with_transforms", "solve_combination",
     "verify_degree_preservation",
 ]

@@ -40,7 +40,7 @@ from .derivations import (Derivation, NilpotencyCertificate,
                           NonNilpotencyCertifier, RingPresentation,
                           certified_domain)
 from .filtration import FiltrationSpec, PreconditionError
-from .ideals import Ideal, _budget, exact_quotient
+from .ideals import BudgetExhausted, Ideal, _budget, exact_quotient
 from .linalg import nullspace, rational_roots, solve_combination
 from .poly import Context, Polynomial
 
@@ -152,7 +152,12 @@ def _translate_to_root(p: Polynomial, name: str, what: str) -> tuple:
     origin_row = {nm: Fraction(0) for nm in p.ctx.names}
     uni = [coeffs.get(j, p.ctx.zero()).eval_rational(origin_row)
            for j in range(max(coeffs) + 1)]
-    roots = rational_roots(uni, _budget().step)
+    try:
+        roots = rational_roots(uni, _budget().step)
+    except BudgetExhausted as e:
+        raise BudgetExhausted(
+            "rational-root search of %s = %s in %s (to move the origin onto "
+            "the hypersurface): %s" % (what, p, name, e)) from None
     if not roots:
         raise PreconditionError(
             "%s has no rational root in %s; cannot move the origin onto "

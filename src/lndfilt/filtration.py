@@ -76,12 +76,6 @@ class GradedPresentation:
     def ctx(self):
         return self.ring.ctx
 
-    def nf(self, p: Polynomial) -> Polynomial:
-        return self.ring.nf(p)
-
-    def degree_of(self, p: Polynomial):
-        return self.ring.nf(p).weighted_degree(self.degrees)
-
     def is_homogeneous(self, p: Polynomial) -> bool:
         q = self.ring.nf(p)
         if q.is_zero():
@@ -177,7 +171,10 @@ class FiltrationSpec:
         # a generator's degree is its nilpotency order
         orders = D.variable_orders()
         if orders is None:
-            raise BoundExceeded("no nilpotency certificate for default bound")
+            raise BoundExceeded(
+                "no nilpotency certificate for default bound 256; declared "
+                "degrees %s" % ", ".join(
+                    "%s:%d" % kv for kv in self.var_degrees.items()))
         for nm in self.ring.ctx.names:
             if orders[nm] != self.var_degrees[nm]:
                 raise PreconditionError(

@@ -21,6 +21,9 @@ of the autoreduction and every reduction read those instead of rescanning
 the terms.  An `Ideal` keeps the leading monomials of each cached basis
 next to it, so `normal_form` hands them to `nf_against` as well.
 
+`binomial_prime` decides pure-difference binomial ideals whose exponent
+lattice has a strictly positive grading, and calls any other inapplicable.
+
 Monomial orders: lex, graded lex, and weight-refined (weight first, lex on a
 declared variable permutation as tie-break; zero weights are allowed).  An
 order is described by data, so cached bases can be keyed by it.  `Packing`
@@ -468,41 +471,6 @@ def ideal_equal(a: Ideal, b: Ideal) -> bool:
             and all(member(g, a, order) for g in b.gens))
 
 
-def eliminate(ideal: Ideal, drop: Sequence[str]) -> Ideal:
-    """Generators of (ideal intersect subring without the dropped variables).
-
-    Uses a lex order with the dropped block in front, which has the
-    elimination property.  The result lives in the restricted context.
-    """
-    drop = list(drop)
-    if not drop:
-        return ideal
-    ctx = ideal.ctx
-    drop_idx = [ctx.index(nm) for nm in drop]
-    rest_idx = [i for i in range(len(ctx)) if i not in set(drop_idx)]
-    order = MonomialOrder.lex(len(ctx), perm=drop_idx + rest_idx)
-    gb = ideal.groebner(order)
-    small = ctx.without(drop)
-    kept = []
-    for g in gb:
-        if all(all(m[i] == 0 for i in drop_idx) for m in g.terms):
-            kept.append(g.restrict(small))
-    return Ideal(small, kept)
-
-
-def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
-    """ideal : f^infinity, via the usual 1 - t*f trick and elimination."""
-    ctx = ideal.ctx
-    tname = "_t"
-    while tname in ctx:
-        tname += "_"
-    ext = Context((tname,) + ctx.names)
-    gens = [g.lift(ext) for g in ideal.gens]
-    gens.append(ext.one() - ext.var(tname) * f.lift(ext))
-    out = eliminate(Ideal(ext, gens), [tname])
-    return Ideal(ctx, [g.restrict(ctx) for g in out.gens])
-
-
 def initial_ideal(ideal: Ideal, w: Sequence[int], perm=None) -> Ideal:
     """Ideal of w-top forms, computed from a Groebner basis for a
     w-refined order.  The top forms of that basis are again a reduced
@@ -513,13 +481,6 @@ def initial_ideal(ideal: Ideal, w: Sequence[int], perm=None) -> Ideal:
     out = Ideal(ideal.ctx, tops)
     out.cache_groebner(order, tops)
     return out
-
-
-def product_of_variables(ctx: Context) -> Polynomial:
-    p = ctx.one()
-    for g in ctx.gens():
-        p = p * g
-    return p
 
 
 @dataclass
@@ -557,8 +518,10 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None) -> Binomial
     x_i divides g.  Hence in(I : x_i^oo) = in(I) : x_i^oo, and I : x_i^oo = I
     exactly when no leading monomial of the reduced basis for that order
     contains x_i; I : (x_1...x_n)^oo = I exactly when that holds for every
-    i (`_saturated_by_variables`).  Without such a grading the test
-    eliminates t from I + (1 - t*x_1...x_n) (`saturate`) and compares.
+    i (`_saturated_by_variables`).  Without such a grading the ideal is
+    inapplicable, and no family's Jhat is: Danielewski's (x^n z - y^m) is
+    graded by (m - 1, n, n), the new family's (x^n y - s^d, y^m - x^e z) by
+    (dm - 1, n + de, nm + e, nm + e) on (x, y, z, s); KR2's is no binomial.
     """
     if order is None:
         order = MonomialOrder.grlex(len(ideal.ctx))
@@ -580,11 +543,11 @@ def binomial_prime(ideal: Ideal, order: MonomialOrder | None = None) -> Binomial
                 "inapplicable", "generator %s is not a pure difference" % g)
         rows.append([a - b for a, b in zip(m1, m2)])
     w = _positive_grading(rows, len(ideal.ctx))
-    if w is not None:
-        saturated = _saturated_by_variables(gb, w)
-    else:
-        saturated = ideal_equal(saturate(ideal, product_of_variables(ideal.ctx)), ideal)
-    if not saturated:
+    if w is None:
+        return BinomialPrimality(
+            "inapplicable", "the lattice rows have no strictly positive "
+            "grading, which the saturation test needs", lattice_rows=rows)
+    if not _saturated_by_variables(gb, w):
         return BinomialPrimality(
             "inapplicable", "not saturated with respect to the variables",
             lattice_rows=rows)

@@ -57,9 +57,6 @@ class Echelon:
             _axpy(combo, f, self.combos[piv])
         return rest, combo
 
-    def contains(self, row) -> bool:
-        return not self.reduce(row)[0]
-
     def add(self, row, tag=None) -> bool:
         """Insert a row; returns True when it enlarged the span."""
         rest, removed = self.reduce(row)

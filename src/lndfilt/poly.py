@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from operator import add
-from typing import Iterable, Mapping, Sequence
+from typing import Mapping, Sequence
 
 NEG_INF = float("-inf")
 
@@ -105,10 +105,6 @@ class Context:
         if len(expo) != len(self.names):
             raise ValueError("exponent tuple length mismatch")
         return Polynomial(self, {expo: coeff})
-
-    def without(self, drop: Iterable[str]) -> "Context":
-        drop = set(drop)
-        return Context([nm for nm in self.names if nm not in drop])
 
 
 # ---------------------------------------------------------------- monomials

@@ -11,7 +11,10 @@ Each checks a result of the paper by a route of its own:
   associated graded ring, the layers against the iteration oracle, and the
   properties P1-P4 of gr on random pairs;
 * `verify_layer_formulas`, `ml_evidence`: the closed-form layer
-  descriptions and the joint kernel of the searched derivations.
+  descriptions and the joint kernel of the searched derivations;
+* `eliminate`, `saturate`: elimination by a lex order and saturation by
+  the 1 - t*f trick, against which `binomial_prime`'s one-variable
+  saturation test is checked.
 """
 
 from __future__ import annotations
@@ -23,9 +26,10 @@ from fractions import Fraction
 from lndfilt.derivations import Derivation
 from lndfilt.families import FamilyInstance, LndSearchResult, _monomials_up_to
 from lndfilt.filtration import FiltrationSpec, PreconditionError
+from lndfilt.ideals import Ideal, MonomialOrder
 from lndfilt.linalg import Echelon, nullspace
 from lndfilt.morphisms import AutomorphismData, RingMorphism, _scaled_x
-from lndfilt.poly import Polynomial, random_polynomial
+from lndfilt.poly import Context, Polynomial, random_polynomial
 
 
 # ------------------------------------------------------------ derivations
@@ -50,6 +54,43 @@ def conjugate(d: Derivation, alpha: RingMorphism) -> Derivation:
         v = d.apply(v)
         imgs.append(alpha.inverse.apply(v))
     return Derivation(d.ring, imgs)
+
+
+# ------------------------------------------------------------ ideals
+
+def eliminate(ideal: Ideal, drop) -> Ideal:
+    """Generators of (ideal intersect subring without the dropped variables).
+
+    Uses a lex order with the dropped block in front, which has the
+    elimination property.  The result lives in the restricted context.
+    """
+    drop = list(drop)
+    if not drop:
+        return ideal
+    ctx = ideal.ctx
+    drop_idx = [ctx.index(nm) for nm in drop]
+    rest_idx = [i for i in range(len(ctx)) if i not in set(drop_idx)]
+    order = MonomialOrder.lex(len(ctx), perm=drop_idx + rest_idx)
+    gb = ideal.groebner(order)
+    small = Context([nm for nm in ctx.names if nm not in drop])
+    kept = []
+    for g in gb:
+        if all(all(m[i] == 0 for i in drop_idx) for m in g.terms):
+            kept.append(g.restrict(small))
+    return Ideal(small, kept)
+
+
+def saturate(ideal: Ideal, f: Polynomial) -> Ideal:
+    """ideal : f^infinity, via the usual 1 - t*f trick and elimination."""
+    ctx = ideal.ctx
+    tname = "_t"
+    while tname in ctx:
+        tname += "_"
+    ext = Context((tname,) + ctx.names)
+    gens = [g.lift(ext) for g in ideal.gens]
+    gens.append(ext.one() - ext.var(tname) * f.lift(ext))
+    out = eliminate(Ideal(ext, gens), [tname])
+    return Ideal(ctx, [g.restrict(ctx) for g in out.gens])
 
 
 # ------------------------------------------------------------ morphisms
@@ -129,7 +170,7 @@ def gr_properties_report(fs: FiltrationSpec, pairs: int = 200, seed: int = 7):
         gab = gr(fs, a * b)
         if gab.degree != ga.degree + gb.degree:
             return fail("P1-degree", (a, b))
-        if graded.nf(gab.poly - ga.poly * gb.poly).is_zero():
+        if graded.ring.nf(gab.poly - ga.poly * gb.poly).is_zero():
             report["P1"] += 1
         else:
             return fail("P1", (a, b))
@@ -140,7 +181,7 @@ def gr_properties_report(fs: FiltrationSpec, pairs: int = 200, seed: int = 7):
         if ghi.degree > glo.degree:
             gsum = gr(fs, hi + lo)
             if gsum.degree == ghi.degree and \
-                    graded.nf(gsum.poly - ghi.poly).is_zero():
+                    graded.ring.nf(gsum.poly - ghi.poly).is_zero():
                 report["P2"] += 1
             else:
                 return fail("P2", (hi, lo))
@@ -154,12 +195,12 @@ def gr_properties_report(fs: FiltrationSpec, pairs: int = 200, seed: int = 7):
         if gb2.degree == ga.degree:
             s = gr(fs, a + b2)
             if s.degree == ga.degree:
-                if graded.nf(s.poly - ga.poly - gb2.poly).is_zero():
+                if graded.ring.nf(s.poly - ga.poly - gb2.poly).is_zero():
                     report["P3"] += 1
                 else:
                     return fail("P3", (a, b2))
             else:
-                if graded.nf(ga.poly + gb2.poly).is_zero():
+                if graded.ring.nf(ga.poly + gb2.poly).is_zero():
                     report["P4"] += 1
                 else:
                     return fail("P4", (a, b2))
@@ -205,8 +246,8 @@ def ml_evidence(inst: FamilyInstance, result: LndSearchResult,
         if predicted.add(q.terms):
             predicted_polys.append(q)
 
-    missing = [str(p) for p in predicted_polys if not computed.contains(p.terms)]
-    extra = [str(p) for p in computed_polys if not predicted.contains(p.terms)]
+    missing = [str(p) for p in predicted_polys if computed.reduce(p.terms)[0]]
+    extra = [str(p) for p in computed_polys if predicted.reduce(p.terms)[0]]
     return {
         "degree_cap": degree_cap,
         "derivations_used": len(result.candidates),
@@ -264,13 +305,13 @@ def verify_layer_formulas(inst: FamilyInstance, max_degree: int = 12) -> dict:
         mismatches = []
         for w in range(max_degree + 1):
             for mono, b in probes.get(w, []):
-                if span.contains(b.terms):
+                if not span.reduce(b.terms)[0]:
                     mismatches.append((str(mono), w, "already in the layer below"))
             for gen in _stated_layer_generators(inst, w):
                 for cm in coeff_monos:
                     span.add(ring.nf(cm * gen).terms)
             for mono, b in probes.get(w, []):
-                if not span.contains(b.terms):
+                if span.reduce(b.terms)[0]:
                     mismatches.append((str(mono), w, "not in the stated layer"))
         if all(kind != "not in the stated layer" for _, _, kind in mismatches):
             break

@@ -185,7 +185,7 @@ def test_criterion_04_graded_relations_and_properties(toy, dan2, kr2):
     for inst in (toy, dan2, kr2):
         graded = inst.filtration.graded_presentation()
         for rel in inst.expected_graded_relations():
-            if not graded.nf(rel).is_zero():
+            if not graded.ring.nf(rel).is_zero():
                 problems.append("%s: %s does not vanish" % (inst.family, rel))
         report = gr_properties_report(inst.filtration, pairs=200)
         if report["counterexample"] is not None:

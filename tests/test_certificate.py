@@ -65,14 +65,15 @@ def _family_argv(argv):
 def _corpus_families():
     """The distinct family flags of the golden corpus and of the
     workloads at seeds 1 to 3.  A corpus line that exits with a usage,
-    parse or precondition error (exit 1, 2 or 3 in expected.json) may
-    name no instance: its flags may not parse or its family not build."""
+    parse, precondition or budget error (exit 1 to 4 in expected.json)
+    may name no instance: its flags may not parse or its family not
+    build."""
     golden = ROOT / "tests" / "golden"
     lines = (golden / "commands.txt").read_text().splitlines()
     expected = json.loads((golden / "expected.json").read_text())
     argvs = [shlex.split(ln) for ln in lines
              if ln.strip() and not ln.startswith("#")
-             and expected[ln.strip()]["exit"] not in (1, 2, 3)]
+             and expected[ln.strip()]["exit"] not in (1, 2, 3, 4)]
     sys.path.insert(0, str(ROOT / "perfbench"))
     try:
         import workloads

@@ -236,7 +236,18 @@ def test_large_constant_term_exits_4_within_the_budget(capsys):
         code, out, err = run(capsys, argv + extra)
         assert time.perf_counter() - start < seconds
         assert (code, out, err) == (
-            4, "", "budget exhausted: reduction budget exhausted\n")
+            4, "", "budget exhausted: rational-root search of "
+            "P = y^2 - 100000000000000000039 in y (to move the origin onto "
+            "the hypersurface): reduction budget exhausted\n")
+
+
+def test_an_order_above_the_default_bound_names_bound_and_degrees(capsys):
+    # z has order 257 on x^2 z = y^257, past the certificate and the
+    # default bound of the iteration that checks the declared degrees
+    argv = ["deg", "--family=danielewski", "--n=2", "--P=y^257", "--of=y"]
+    assert run(capsys, argv) == (
+        4, "", "budget exhausted: no nilpotency certificate for default "
+        "bound 256; declared degrees x:0, y:1, z:257\n")
 
 
 def test_a_power_whose_products_collide_is_admitted(capsys):

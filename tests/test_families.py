@@ -115,7 +115,7 @@ def test_expected_graded_relations_vanish():
     for inst in (_dan2(), _toy(), _kr2()):
         graded = inst.filtration.graded_presentation()
         for rel in inst.expected_graded_relations():
-            assert graded.nf(rel).is_zero(), (inst.family, str(rel))
+            assert graded.ring.nf(rel).is_zero(), (inst.family, str(rel))
 
 
 def test_bounded_search_danielewski():

@@ -205,10 +205,10 @@ def test_graded_presentation_of_toy():
     graded = fs.graded_presentation()
     ext = fs.ext_ctx
     for text in ("s^2 - x^2*y", "y^2 - x*z"):
-        assert graded.nf(parse_polynomial(text, ext)).is_zero()
+        assert graded.ring.nf(parse_polynomial(text, ext)).is_zero()
     # the slice symbol is homogeneous of weight one
     assert graded.is_homogeneous(ext.var("s"))
-    assert graded.degree_of(ext.var("s")) == 1
+    assert graded.ring.nf(ext.var("s")).weighted_degree(graded.degrees) == 1
     assert not graded.is_homogeneous(ext.var("y") + ext.var("s"))
 
 

@@ -1,4 +1,5 @@
-"""Groebner engine: orders, normal forms, elimination, binomial primality."""
+"""Groebner engine: orders, normal forms, binomial primality, and the
+elimination and saturation oracles of tests/oracles.py."""
 
 from __future__ import annotations
 
@@ -8,12 +9,13 @@ from fractions import Fraction
 import pytest
 
 from lndfilt.ideals import (Budget, BudgetExhausted, Ideal, MonomialOrder,
-                            binomial_prime, buchberger, eliminate,
-                            exact_quotient, ideal_equal, initial_ideal,
-                            leading_monomial, leading_term, member, monic,
-                            nf_against, normal_form, saturate)
+                            binomial_prime, buchberger, exact_quotient,
+                            ideal_equal, initial_ideal, leading_monomial,
+                            leading_term, member, monic, nf_against,
+                            normal_form)
 from lndfilt.parser import parse_polynomial
 from lndfilt.poly import Context, random_polynomial
+from oracles import eliminate, saturate
 
 XYZ = Context(("x", "y", "z"))
 XYZS = Context(("x", "y", "z", "s"))

@@ -197,9 +197,9 @@ def test_sparse_span_membership():
     assert span.add({("b",): Fraction(2)})
     assert not span.add({("a",): Fraction(3), ("b",): Fraction(-1)})
     assert span.dim() == 2
-    assert span.contains({("a",): Fraction(5)})
-    assert not span.contains({("c",): Fraction(1)})
-    assert span.contains({})
+    assert not span.reduce({("a",): Fraction(5)})[0]
+    assert span.reduce({("c",): Fraction(1)})[0]
+    assert not span.reduce({})[0]
 
 
 def test_echelon_is_reduced_and_tracks_tags():

@@ -30,51 +30,31 @@ from lndfilt import cli
 
 SRC = os.path.dirname(os.path.realpath(lndfilt.__file__))
 
-_BINOMIAL = "binomial_prime's fallback without a positive grading; " \
-    "test_saturation's oracle"
-_VALIDATE = "FiltrationSpec._validate where the certificate does not " \
-    "apply: LNDs beyond the three families"
 _REPR = "debugging repr"
 
 LIBRARY_API = {
     "cli.entry": "the `lndfilt` console script; test_cli runs it as a "
                  "subprocess",
     "derivations.Derivation.__repr__": _REPR,
-    "derivations.Derivation.is_local_slice": _VALIDATE,
-    "derivations.Derivation.kernel_member": _VALIDATE,
     "derivations.RingPresentation.__repr__": _REPR,
     "families.FamilyInstance.__repr__": _REPR,
-    "families._quotient_by_linear_solve": "search classification when "
-                                          "exact_quotient leaves a rest",
-    "filtration.FiltrationSpec.kernel_products": "the rows of "
-                                                 "_quotient_by_linear_solve",
-    "filtration.GradedPresentation.degree_of": "graded-ring accessor",
-    "filtration.GradedPresentation.nf": "graded-ring accessor",
     "filtration.PropernessResult.__bool__": "truth of a verdict",
     "ideals.BinomialPrimality.__bool__": "truth of a verdict",
     "ideals.Ideal.__repr__": _REPR,
     "ideals.MonomialOrder.__eq__": "orders compare by signature",
     "ideals.MonomialOrder.__hash__": "orders compare by signature",
     "ideals.MonomialOrder.__repr__": _REPR,
-    "ideals.MonomialOrder.lex": "the elimination order of eliminate",
-    "ideals._key_function.tie": "the order key on one variable",
-    "ideals._sumset": "_power_overrun's second count, past the first cap",
-    "ideals.eliminate": _BINOMIAL,
-    "ideals.product_of_variables": _BINOMIAL,
-    "ideals.saturate": _BINOMIAL,
-    "linalg.Echelon.contains": "span membership; tests/oracles.py uses it",
-    "linalg.solve_combination": "the solve of _quotient_by_linear_solve; "
-                                "perfbench/tracer.py pins it",
+    "ideals.MonomialOrder.lex": "the lex order; the elimination oracle in "
+                                "tests/oracles.py uses it",
     "morphisms.IsoDecision.__bool__": "truth of a verdict",
     "morphisms.RingMorphism.__repr__": _REPR,
     "poly.Context.__hash__": "contexts compare by their names",
     "poly.Context.__repr__": _REPR,
-    "poly.Context.without": "the smaller ring of eliminate",
     "poly.Polynomial.__hash__": "polynomials are values",
     "poly.Polynomial.__repr__": _REPR,
     "poly.Polynomial.__rsub__": "number - polynomial",
-    "poly.Polynomial.restrict": "eliminate's results, and family input "
-                                "given over a larger context",
+    "poly.Polynomial.restrict": "family input given over a larger context; "
+                                "the elimination oracle's results",
 }
 
 
